@@ -15,6 +15,8 @@ import time
 from pathlib import Path
 
 from matchlab.certify import (
+    DEFAULT_SAMPLE_COUNT,
+    DEFAULT_SEED,
     certify_coprime6,
     classify,
     nonprime_counterexample,
@@ -25,8 +27,8 @@ from matchlab.certify import (
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="artifacts")
-    parser.add_argument("--seed", type=int, default=20240601)
-    parser.add_argument("--samples", type=int, default=500)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT)
     args = parser.parse_args()
 
     out = Path(args.out_dir)

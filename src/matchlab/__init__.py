@@ -4,6 +4,7 @@ from .certify import (
     Certificate,
     certify_coprime6,
     classify,
+    failure_certificate,
     nonprime_counterexample,
     spot_check_integers,
 )
@@ -20,8 +21,6 @@ from .genfun import (
     brute_genfun,
     closed_form_m2,
     closed_form_m6,
-    poly_add,
-    poly_mul,
     recurrence_check,
     standard_pair,
     transfer_genfun,

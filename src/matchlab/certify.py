@@ -32,7 +32,7 @@ from .genfun import (
     standard_pair,
     transfer_genfun,
 )
-from .groups import GroupCtx, cyclic, integers, subgroup_generated
+from .groups import cyclic, integers, subgroup_generated
 from .matching import (
     DEFAULT_ENUMERATION_BOUND,
     DEFAULT_EXHAUSTIVE_BOUND,
@@ -189,6 +189,17 @@ def nonprime_counterexample(
     )
 
 
+def failure_certificate(
+    n: int, enumeration_bound: int = DEFAULT_ENUMERATION_BOUND
+) -> Certificate:
+    """Failure certificate for Z/nZ: the subgroup counterexample for
+    composite n, the standard-pair certificate otherwise.  Raises
+    ValueError when neither applies (n <= 5 and not composite)."""
+    if any(n % d == 0 for d in range(2, n)):
+        return nonprime_counterexample(n, enumeration_bound)
+    return certify_coprime6(n, enumeration_bound)
+
+
 def sample_integer_pairs(
     rng: random.Random,
     count: int,
@@ -284,10 +295,7 @@ def classify(
             },
         )
     # n = 4 or n > 5: the property fails
-    if any(n % d == 0 for d in range(2, n)):
-        inner = nonprime_counterexample(n, enumeration_bound)
-    else:
-        inner = certify_coprime6(n, enumeration_bound)
+    inner = failure_certificate(n, enumeration_bound)
     if not inner.verified:
         raise VerificationFailure(
             f"evidence for Z/{n}Z failed to verify: {inner.to_json_dict()}"

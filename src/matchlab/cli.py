@@ -17,13 +17,14 @@ import json
 import sys
 import time
 
-from .certify import (
-    certify_coprime6,
-    classify,
-    nonprime_counterexample,
-)
+from .certify import classify, failure_certificate
 from .config import CONFIG_ENV_VAR, OUTPUT_FORMATS, RunConfig
-from .errors import BoundExceededError, MatchlabError, VerificationFailure
+from .errors import (
+    BoundExceededError,
+    CoefficientOverflowError,
+    MatchlabError,
+    VerificationFailure,
+)
 from .genfun import (
     brute_genfun,
     closed_form_m2,
@@ -31,13 +32,7 @@ from .genfun import (
     transfer_genfun,
 )
 from .groups import cyclic, integers
-from .matching import (
-    SubsetPair,
-    acyclicity_report,
-    large_set_check,
-    multiplicity,
-    verify_group_amp,
-)
+from .matching import SubsetPair, acyclicity_report, verify_group_amp
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -229,18 +224,7 @@ def cmd_genfun(args, cfg: RunConfig) -> int:
 
 
 def cmd_certify(args, cfg: RunConfig) -> int:
-    n = args.n
-    if n > 5 and n % 6 in (1, 5) and all(n % d for d in range(2, n)):
-        cert = certify_coprime6(n, cfg.enumeration_bound)
-    elif n > 1 and any(n % d == 0 for d in range(2, n)):
-        cert = nonprime_counterexample(n, cfg.enumeration_bound)
-    else:
-        print(
-            f"error: no failure certificate applies to n = {n} "
-            "(needs composite n > 1 or prime n > 5)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    cert = failure_certificate(args.n, cfg.enumeration_bound)
     _emit(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True), cfg)
     return EXIT_OK if cert.verified else EXIT_VERIFICATION_FAILURE
 
@@ -300,7 +284,6 @@ def cmd_report(args, cfg: RunConfig) -> int:
         writer.writeheader()
         writer.writerows(rows)
         _emit(buf.getvalue().rstrip("\n"), cfg)
-        print(f"# wall_time_s={wall:.3f}", file=sys.stderr)
     elif cfg.output_format == "json":
         payload = {
             "rows": rows,
@@ -312,7 +295,6 @@ def cmd_report(args, cfg: RunConfig) -> int:
             },
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True), cfg)
-        print(f"# wall_time_s={wall:.3f}", file=sys.stderr)
     else:
         lines = [f"{'n':>3}  {'verdict':7}  {'evidence':20}  {'matchings':>9}  {'min_coeff':>9}"]
         for r in rows:
@@ -322,7 +304,7 @@ def cmd_report(args, cfg: RunConfig) -> int:
                 f"{'' if r['min_coefficient'] is None else r['min_coefficient']:>9}"
             )
         _emit("\n".join(lines), cfg)
-        print(f"# wall_time_s={wall:.3f}", file=sys.stderr)
+    print(f"# wall_time_s={wall:.3f}", file=sys.stderr)
     return EXIT_OK if all_verified else EXIT_VERIFICATION_FAILURE
 
 
@@ -399,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
             overrides[args.bound_field] = args.bound
         cfg = cfg.override(**overrides)
         return args.func(args, cfg)
-    except BoundExceededError as exc:
+    except (BoundExceededError, CoefficientOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except VerificationFailure as exc:

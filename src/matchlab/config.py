@@ -12,6 +12,9 @@ import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .certify import DEFAULT_SEED
+from .matching import DEFAULT_ENUMERATION_BOUND, DEFAULT_EXHAUSTIVE_BOUND
+
 CONFIG_ENV_VAR = "MATCHLAB_CONFIG"
 
 OUTPUT_FORMATS = ("text", "json", "csv")
@@ -19,12 +22,12 @@ OUTPUT_FORMATS = ("text", "json", "csv")
 
 @dataclass(frozen=True)
 class RunConfig:
-    enumeration_bound: int = 20
-    exhaustive_group_bound: int = 8
+    enumeration_bound: int = DEFAULT_ENUMERATION_BOUND
+    exhaustive_group_bound: int = DEFAULT_EXHAUSTIVE_BOUND
     symmetry_reduction: bool = True
     output_format: str = "text"
     output_path: str | None = None
-    seed: int = 20240601
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.enumeration_bound <= 0 or self.exhaustive_group_bound <= 0:

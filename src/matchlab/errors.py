@@ -16,7 +16,7 @@ class BoundExceededError(MatchlabError):
 
 class CoefficientOverflowError(MatchlabError):
     """A polynomial coefficient or matching count left the checked 64-bit
-    range.  Never silently wraps."""
+    range.  Never silently wraps.  Maps to CLI exit code 3."""
 
 
 class VerificationFailure(MatchlabError):

@@ -17,12 +17,7 @@ from collections import Counter
 
 from .errors import CoefficientOverflowError, I64_MAX
 from .groups import cyclic
-from .matching import (
-    DEFAULT_ENUMERATION_BOUND,
-    Matching,
-    SubsetPair,
-    enumerate_matchings,
-)
+from .matching import DEFAULT_ENUMERATION_BOUND, SubsetPair, acyclicity_report
 
 Exponents = tuple[int, int, int]  # (w0, w1, w3)
 
@@ -133,14 +128,6 @@ class GenPoly:
         return f"GenPoly({self.to_text()})"
 
 
-def poly_add(p: GenPoly, q: GenPoly) -> GenPoly:
-    return p + q
-
-
-def poly_mul(p: GenPoly, q: GenPoly) -> GenPoly:
-    return p * q
-
-
 C0 = GenPoly.monomial(1, 0, 0)
 C1 = GenPoly.monomial(0, 1, 0)
 C3 = GenPoly.monomial(0, 0, 1)
@@ -240,27 +227,20 @@ def standard_pair(n: int, m: int) -> SubsetPair:
     return SubsetPair(g, a, b)
 
 
-def matching_monomial(m: Matching) -> Exponents:
-    """Exponent triple (w0, w1, w3) of one matching of a standard pair: counts
-    of the sums a + f(a) equal to 0, 1, 3."""
-    g = m.pair.group
-    counts = Counter(g.add(a, fa) for a, fa in zip(m.pair.a, m.assignment))
-    extra = set(counts) - {0, 1, 3}
-    if extra:
-        raise AssertionError(f"sum outside {{0,1,3}} for standard pair: {sorted(extra)}")
-    return (counts.get(0, 0), counts.get(1, 0), counts.get(3, 0))
-
-
 def brute_genfun(
     n: int, m: int, bound: int = DEFAULT_ENUMERATION_BOUND
 ) -> GenPoly:
     """Oracle for transfer_genfun: enumerate all matchings of the standard
-    pair and aggregate their monomials."""
-    pair = standard_pair(n, m)
-    terms: Counter[Exponents] = Counter()
-    for match in enumerate_matchings(pair, bound):
-        terms[matching_monomial(match)] += 1
-    return GenPoly(dict(terms))
+    pair and read each multiplicity class as the monomial
+    c0^w0 * c1^w1 * c3^w3, w_k = number of sums a + f(a) equal to k."""
+    terms: dict[Exponents, int] = {}
+    for key, size, _ in acyclicity_report(standard_pair(n, m), bound).classes:
+        counts = dict(key)
+        extra = set(counts) - {0, 1, 3}
+        if extra:
+            raise AssertionError(f"sum outside {{0,1,3}} for standard pair: {sorted(extra)}")
+        terms[(counts.get(0, 0), counts.get(1, 0), counts.get(3, 0))] = size
+    return GenPoly(terms)
 
 
 def binom(a: int, b: int) -> int:
@@ -314,13 +294,9 @@ def closed_form_m6(n: int) -> GenPoly:
     binom(w0+w1-2, w1) + binom(w0+w1-3, w1-1) + binom(w0+w1-3, w1-3)."""
     if n < 10:
         raise ValueError(f"closed form for m=6 needs n >= 10, got {n}")
-    terms: dict[Exponents, int] = {}
-    for (w0, w1, w3) in _constrained_support(n, 6):
-        s = w0 + w1
-        c = binom(s - 2, w1) + binom(s - 3, w1 - 1) + binom(s - 3, w1 - 3)
-        if c:
-            terms[(w0, w1, w3)] = c
-    return GenPoly(terms)
+    return sum(
+        (binomial_family(n, d, e, 6) for d, e in ((2, 0), (3, 1), (3, 3))), ZERO
+    )
 
 
 def recurrence_check(seq: list[GenPoly]) -> bool:

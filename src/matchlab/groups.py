@@ -62,25 +62,6 @@ class GroupCtx:
             raise BoundExceededError(f"integer sum {s} exceeds bound {self.int_bound}")
         return s
 
-    def neg(self, x: int) -> int:
-        if self.is_cyclic:
-            return (-x) % self.modulus
-        return -x
-
-    def scale(self, k: int, x: int) -> int:
-        """k-fold sum of x (integer scalar action)."""
-        if self.is_cyclic:
-            return (k * x) % self.modulus
-        s = k * x
-        if abs(s) > self.int_bound:
-            raise BoundExceededError(f"scaled element {s} exceeds bound {self.int_bound}")
-        return s
-
-    def elements(self) -> range:
-        if not self.is_cyclic:
-            raise ValueError("cannot enumerate the integers")
-        return range(self.modulus)
-
     def describe(self) -> str:
         return f"Z/{self.modulus}Z" if self.is_cyclic else "Z"
 

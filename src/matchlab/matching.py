@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import BoundExceededError, CoefficientOverflowError, I64_MAX
+from .errors import BoundExceededError
 from .groups import GroupCtx, cyclic, units
 
 DEFAULT_ENUMERATION_BOUND = 20
@@ -133,42 +133,36 @@ def enumerate_matchings(
     """Yield every matching exactly once, in lexicographic order of the
     assignment array.
 
-    The backtracking itself walks B in ascending order, picking unmatched
-    partners from A in ascending order (the same order the transfer-matrix
-    construction uses); results are then emitted assignment-lexicographically.
+    The backtracking walks A in ascending order and tries each element's
+    partners in ascending order of B, so assignments come out in
+    lexicographic order without a sort.
     """
     if pair.size > bound:
         raise BoundExceededError(f"|A| = {pair.size} exceeds enumeration bound {bound}")
     g = pair.group
-    a_elems = pair.a
-    index_of_a = {a: i for i, a in enumerate(a_elems)}
-    # candidates[b] = elements of A that b may be matched to
-    candidates = {
-        b: [a for a in a_elems if not pair.a_contains(g.add(a, b))]
-        for b in pair.b
-    }
+    # candidates[i] = elements of B that the i-th element of A may be matched to
+    candidates = [
+        [b for b in pair.b if not pair.a_contains(g.add(a, b))]
+        for a in pair.a
+    ]
     results: list[tuple[int, ...]] = []
-    partner = [0] * pair.size  # partner[i] = b matched to a_elems[i]
-    used = [False] * pair.size
+    partner = [0] * pair.size  # partner[i] = b matched to the i-th element of A
+    used = dict.fromkeys(pair.b, False)
 
-    def backtrack(bi: int):
-        if bi == len(pair.b):
+    def backtrack(i: int):
+        if i == pair.size:
             results.append(tuple(partner))
             return
-        b = pair.b[bi]
-        for a in candidates[b]:
-            i = index_of_a[a]
-            if used[i]:
+        for b in candidates[i]:
+            if used[b]:
                 continue
-            used[i] = True
+            used[b] = True
             partner[i] = b
-            backtrack(bi + 1)
-            used[i] = False
+            backtrack(i + 1)
+            used[b] = False
 
     backtrack(0)
-    if len(results) > I64_MAX:  # pragma: no cover - unreachable at desk scale
-        raise CoefficientOverflowError("matching count exceeds 64-bit range")
-    for assignment in sorted(results):
+    for assignment in results:
         yield Matching(pair, assignment)
 
 
@@ -192,22 +186,19 @@ class AcyclicityReport:
 def acyclicity_report(
     pair: SubsetPair, bound: int = DEFAULT_ENUMERATION_BOUND
 ) -> AcyclicityReport:
-    """Bucket all matchings by multiplicity vector; the witness is the first
-    matching (assignment order) whose class is a singleton."""
-    buckets: dict[MultiplicityVector, list[Matching]] = {}
-    total = 0
+    """Bucket all matchings by multiplicity vector, keeping each class's
+    size and first matching in assignment order.  Classes are sorted by
+    vector; the witness is the first matching of the singleton class with
+    the lex-least vector."""
+    sizes: dict[MultiplicityVector, int] = {}
+    first: dict[MultiplicityVector, Matching] = {}
     for m in enumerate_matchings(pair, bound):
-        buckets.setdefault(multiplicity(m), []).append(m)
-        total += 1
-    classes = tuple(
-        (key, len(ms), ms[0]) for key, ms in sorted(buckets.items())
-    )
-    witness = None
-    for key, count, first in classes:
-        if count == 1:
-            witness = first
-            break
-    return AcyclicityReport(pair, total, classes, witness)
+        key = multiplicity(m)
+        sizes[key] = sizes.get(key, 0) + 1
+        first.setdefault(key, m)
+    classes = tuple((key, sizes[key], first[key]) for key in sorted(first))
+    witness = next((m for _, size, m in classes if size == 1), None)
+    return AcyclicityReport(pair, sum(sizes.values()), classes, witness)
 
 
 def iter_valid_pairs(n: int, sizes: tuple[int, ...] | None = None) -> Iterator[SubsetPair]:

@@ -33,6 +33,11 @@ class TestGenfunCommand:
         payload = json.loads(out)
         assert payload["terms"] == [{"w": [1, 1, 2], "c": 2}]
 
+    def test_coefficient_overflow_exit_3(self, capsys):
+        code, _, err = run(["genfun", "200", "2"], capsys)
+        assert code == 3
+        assert "64-bit" in err
+
     def test_closed_form_unavailable_is_usage_error(self, capsys):
         code, _, err = run(["genfun", "9", "3", "--method", "closed"], capsys)
         assert code == 2
@@ -105,6 +110,12 @@ class TestCertifyCommand:
         code, out, _ = run(["certify", "9"], capsys)
         assert code == 0
         assert json.loads(out)["claim"] == "nonprime_failure"
+
+    def test_coefficient_overflow_exit_3(self, capsys):
+        code, out, err = run(["certify", "199"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "64-bit" in err
 
     def test_small_prime_is_usage_error(self, capsys):
         code, _, err = run(["certify", "5"], capsys)

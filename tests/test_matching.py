@@ -161,6 +161,16 @@ class TestAcyclicityReport:
         r = acyclicity_report(SubsetPair(cyclic(5), (2, 4), (3, 4)))
         assert r.acyclic_witness is not None
 
+    def test_witness_is_lex_least_singleton_class(self):
+        # both matchings sit alone in their class; (2, 3) comes first in
+        # assignment order, but (3, 2) has the lex-least vector {1:1, 3:1}
+        r = acyclicity_report(SubsetPair(cyclic(5), (0, 4), (2, 3)))
+        assert [(key, count) for key, count, _ in r.classes] == [
+            (((1, 1), (3, 1)), 1),
+            (((2, 2),), 1),
+        ]
+        assert r.acyclic_witness.assignment == (3, 2)
+
     def test_unique_matching_is_witness(self):
         for n in (4, 5, 6):
             for pair in iter_valid_pairs(n):
