@@ -25,12 +25,7 @@ from .errors import (
     MatchlabError,
     VerificationFailure,
 )
-from .genfun import (
-    brute_genfun,
-    closed_form_m2,
-    closed_form_m6,
-    transfer_genfun,
-)
+from .genfun import genfun_by_method
 from .groups import cyclic, integers
 from .matching import SubsetPair, acyclicity_report, verify_group_amp
 
@@ -165,23 +160,9 @@ def cmd_enumerate(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _genfun_by_method(method: str, n: int, m: int, bound: int):
-    if method == "transfer":
-        return transfer_genfun(n, m)
-    if method == "brute":
-        return brute_genfun(n, m, bound)
-    if method == "closed":
-        if m == 2:
-            return closed_form_m2(n)
-        if m == 6:
-            return closed_form_m6(n)
-        raise ValueError(f"no closed form for m = {m} (only m = 2 and m = 6)")
-    raise ValueError(f"unknown method {method!r}")
-
-
 def cmd_genfun(args, cfg: RunConfig) -> int:
     try:
-        poly = _genfun_by_method(args.method, args.n, args.m, cfg.enumeration_bound)
+        poly = genfun_by_method(args.method, args.n, args.m, cfg.enumeration_bound)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -193,7 +174,7 @@ def cmd_genfun(args, cfg: RunConfig) -> int:
         values = {}
         for method in candidates:
             try:
-                values[method] = _genfun_by_method(method, args.n, args.m, cfg.enumeration_bound)
+                values[method] = genfun_by_method(method, args.n, args.m, cfg.enumeration_bound)
             except (ValueError, BoundExceededError):
                 continue
         agreement = {

@@ -299,6 +299,24 @@ def closed_form_m6(n: int) -> GenPoly:
     )
 
 
+def genfun_by_method(method: str, n: int, m: int, bound: int) -> GenPoly:
+    """The generating function of the standard pair (n, m) by one method:
+    "transfer", "brute" (enumeration up to `bound`) or "closed" (m = 2 or
+    m = 6).  Raises ValueError for an unknown method or a missing closed
+    form."""
+    if method == "transfer":
+        return transfer_genfun(n, m)
+    if method == "brute":
+        return brute_genfun(n, m, bound)
+    if method == "closed":
+        if m == 2:
+            return closed_form_m2(n)
+        if m == 6:
+            return closed_form_m6(n)
+        raise ValueError(f"no closed form for m = {m} (only m = 2 and m = 6)")
+    raise ValueError(f"unknown method {method!r}")
+
+
 def recurrence_check(seq: list[GenPoly]) -> bool:
     """True iff seq[i] = c1*c3*seq[i-2] + c0*c3^2*seq[i-3] for all i >= 3
     (seq indexed by consecutive n)."""

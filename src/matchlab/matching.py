@@ -8,15 +8,16 @@ other matching shares its multiplicity vector.
 This module decides matching existence (augmenting paths), enumerates all
 matchings (backtracking), buckets them by multiplicity vector, and runs
 exhaustive verification of the acyclic matching property over every valid
-subset pair of a small cyclic group.
+subset pair of a small cyclic group.  `acyclicity_report` walks a per-pair
+table of sums; `enumerate_matchings` with `multiplicity` is the independent
+reference route that tests compare it against.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import BoundExceededError
 from .groups import GroupCtx, cyclic, units
@@ -93,21 +94,26 @@ def is_matching(pair: SubsetPair, assignment: tuple[int, ...] | list[int]) -> bo
     return True
 
 
+def _vector(sums: Iterable[int]) -> MultiplicityVector:
+    """The multiplicity vector of a sequence of sums."""
+    counts: dict[int, int] = {}
+    for s in sums:
+        counts[s] = counts.get(s, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
 def multiplicity(m: Matching) -> MultiplicityVector:
     """Counts of the sums a + f(a), sorted by element."""
     g = m.pair.group
-    counts = Counter(g.add(a, fa) for a, fa in zip(m.pair.a, m.assignment))
-    return tuple(sorted(counts.items()))
+    return _vector(g.add(a, fa) for a, fa in zip(m.pair.a, m.assignment))
 
 
 def matching_exists(pair: SubsetPair) -> bool:
     """Decide matching existence via augmenting paths on the bipartite
     compatibility graph: edge (a, b) iff a + b not in A."""
     g = pair.group
-    adj = {
-        a: [b for b in pair.b if not pair.a_contains(g.add(a, b))]
-        for a in pair.a
-    }
+    a_set = pair._a_set
+    adj = {a: [b for b in pair.b if g.add(a, b) not in a_set] for a in pair.a}
     match_of_b: dict[int, int] = {}
 
     def augment(a: int, seen: set[int]) -> bool:
@@ -189,14 +195,61 @@ def acyclicity_report(
     """Bucket all matchings by multiplicity vector, keeping each class's
     size and first matching in assignment order.  Classes are sorted by
     vector; the witness is the first matching of the singleton class with
-    the lex-least vector."""
-    sizes: dict[MultiplicityVector, int] = {}
-    first: dict[MultiplicityVector, Matching] = {}
-    for m in enumerate_matchings(pair, bound):
-        key = multiplicity(m)
-        sizes[key] = sizes.get(key, 0) + 1
-        first.setdefault(key, m)
-    classes = tuple((key, sizes[key], first[key]) for key in sorted(first))
+    the lex-least vector.
+
+    The walk visits matchings in the order of `enumerate_matchings` (A
+    ascending, each partner tried in ascending order of B) over a table of
+    the allowed (partner, sum) choices built once per pair.  Each matching
+    is keyed by its sorted sums, which determine its multiplicity vector
+    and are determined by it, so each class's vector is built once.
+    """
+    if pair.size > bound:
+        raise BoundExceededError(f"|A| = {pair.size} exceeds enumeration bound {bound}")
+    g = pair.group
+    a_set = pair._a_set
+    # options[i] = (b, a_i + b) for each partner b the i-th element of A may take
+    options = []
+    for a in pair.a:
+        row = []
+        for b in pair.b:
+            s = g.add(a, b)
+            if s not in a_set:
+                row.append((b, s))
+        options.append(row)
+    k = pair.size
+    partner = [0] * k
+    sums = [0] * k
+    used = dict.fromkeys(pair.b, False)
+    sizes: dict[tuple[int, ...], int] = {}
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def walk(i: int):
+        if i == k:
+            key = tuple(sorted(sums))
+            size = sizes.get(key)
+            if size is None:
+                sizes[key] = 1
+                first[key] = tuple(partner)
+            else:
+                sizes[key] = size + 1
+            return
+        for b, s in options[i]:
+            if used[b]:
+                continue
+            used[b] = True
+            partner[i] = b
+            sums[i] = s
+            walk(i + 1)
+            used[b] = False
+
+    walk(0)
+    # walk refers to itself; dropping the name frees the tables by refcount
+    # rather than leaving them to the cyclic collector
+    del walk
+    # vectors are unique, so the sort never compares the Matchings
+    classes = tuple(sorted(
+        (_vector(key), size, Matching(pair, first[key])) for key, size in sizes.items()
+    ))
     witness = next((m for _, size, m in classes if size == 1), None)
     return AcyclicityReport(pair, sum(sizes.values()), classes, witness)
 
@@ -214,15 +267,16 @@ def iter_valid_pairs(n: int, sizes: tuple[int, ...] | None = None) -> Iterator[S
                 yield SubsetPair(g, a_set, b_set)
 
 
-def _canonical_orbit_key(n: int, pair: SubsetPair) -> tuple:
-    """Lex-least image of (A, B) under simultaneous unit scaling.
+def _canonical_orbit_key(n: int, pair: SubsetPair, unit_group: tuple[int, ...]) -> tuple:
+    """Lex-least image of (A, B) under simultaneous scaling by the units
+    `unit_group` of Z/nZ.
 
     Sound because u(a + f(a)) = ua + u f(a) and uA is the image of A, so the
     multiplicity-class structure is preserved.  Translations are NOT used:
     the condition a + f(a) not in A is not translation-invariant.
     """
     best = None
-    for u in units(cyclic(n)):
+    for u in unit_group:
         image = (
             tuple(sorted(u * a % n for a in pair.a)),
             tuple(sorted(u * b % n for b in pair.b)),
@@ -257,11 +311,12 @@ def verify_group_amp(
     if n > exhaustive_bound:
         raise BoundExceededError(f"group order {n} exceeds exhaustive bound {exhaustive_bound}")
     verdict_cache: dict[tuple, bool] = {}
+    unit_group = units(g) if use_symmetry else ()
     checked = 0
     for pair in iter_valid_pairs(n):
         checked += 1
         if use_symmetry:
-            key = _canonical_orbit_key(n, pair)
+            key = _canonical_orbit_key(n, pair, unit_group)
             ok = verdict_cache.get(key)
             if ok is None:
                 ok = acyclicity_report(pair, enumeration_bound).has_acyclic

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matchlab.matching
 from matchlab.errors import BoundExceededError
 from matchlab.groups import cyclic, integers, units
 from matchlab.matching import (
@@ -16,6 +17,36 @@ from matchlab.matching import (
     multiplicity,
     verify_group_amp,
 )
+
+
+@st.composite
+def integer_pairs(draw, max_size=4):
+    k = draw(st.integers(min_value=1, max_value=max_size))
+    universe = list(range(-6, 7))
+    a = draw(st.sets(st.sampled_from(universe), min_size=k, max_size=k))
+    b = draw(
+        st.sets(st.sampled_from([x for x in universe if x != 0]), min_size=k, max_size=k)
+    )
+    return SubsetPair(integers(), tuple(sorted(a)), tuple(sorted(b)))
+
+
+def reference_report(pair):
+    """(total, classes, witness) of `pair` by enumeration and `multiplicity`,
+    the route independent of `acyclicity_report`'s walk."""
+    sizes, first = {}, {}
+    for m in enumerate_matchings(pair):
+        key = multiplicity(m)
+        sizes[key] = sizes.get(key, 0) + 1
+        first.setdefault(key, m.assignment)
+    classes = [(key, sizes[key], first[key]) for key in sorted(sizes)]
+    witness = next((m for _, size, m in classes if size == 1), None)
+    return sum(sizes.values()), classes, witness
+
+
+def report_summary(pair):
+    r = acyclicity_report(pair)
+    witness = r.acyclic_witness and r.acyclic_witness.assignment
+    return r.total_matchings, [(key, size, m.assignment) for key, size, m in r.classes], witness
 
 
 def complement_pair(n, a_removed, b_removed):
@@ -184,6 +215,25 @@ class TestAcyclicityReport:
                 r = acyclicity_report(pair)
                 assert sum(count for _, count, _ in r.classes) == r.total_matchings
 
+    def test_report_matches_enumeration(self):
+        for n in range(2, 8):
+            for pair in iter_valid_pairs(n):
+                assert report_summary(pair) == reference_report(pair)
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_pairs(max_size=6))
+    def test_report_matches_enumeration_in_z(self, pair):
+        assert report_summary(pair) == reference_report(pair)
+
+    def test_bound_enforced(self):
+        p = complement_pair(8, (0, 1, 3), (0, 1, 2))
+        with pytest.raises(BoundExceededError):
+            acyclicity_report(p, bound=p.size - 1)
+
+    def test_integer_sum_past_bound(self):
+        with pytest.raises(BoundExceededError):
+            acyclicity_report(SubsetPair(integers(10), (9,), (5,)))
+
     def test_symmetry_soundness(self):
         # simultaneous unit scaling preserves the class-size multiset
         for n in range(2, 8):
@@ -222,6 +272,17 @@ class TestVerifyGroupAmp:
         with pytest.raises(BoundExceededError):
             verify_group_amp(cyclic(9), exhaustive_bound=8)
 
+    def test_units_computed_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counted_units(g):
+            calls.append(g)
+            return units(g)
+
+        monkeypatch.setattr(matchlab.matching, "units", counted_units)
+        verify_group_amp(cyclic(7), use_symmetry=True)
+        assert calls == [cyclic(7)]
+
 
 class TestLargeSetCheck:
     @pytest.mark.parametrize("n", range(3, 9))
@@ -231,17 +292,6 @@ class TestLargeSetCheck:
     def test_bound_enforced(self):
         with pytest.raises(BoundExceededError):
             large_set_check(cyclic(9), exhaustive_bound=8)
-
-
-@st.composite
-def integer_pairs(draw):
-    k = draw(st.integers(min_value=1, max_value=4))
-    universe = list(range(-6, 7))
-    a = draw(st.sets(st.sampled_from(universe), min_size=k, max_size=k))
-    b = draw(
-        st.sets(st.sampled_from([x for x in universe if x != 0]), min_size=k, max_size=k)
-    )
-    return SubsetPair(integers(), tuple(sorted(a)), tuple(sorted(b)))
 
 
 @settings(max_examples=200, deadline=None)
