@@ -173,6 +173,9 @@ def cmd_genfun(args, cfg: RunConfig) -> int:
             candidates.append("closed")
         values = {}
         for method in candidates:
+            if method == args.method:
+                values[method] = poly
+                continue
             try:
                 values[method] = genfun_by_method(method, args.n, args.m, cfg.enumeration_bound)
             except (ValueError, BoundExceededError):

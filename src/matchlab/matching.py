@@ -9,14 +9,17 @@ This module decides matching existence (augmenting paths), enumerates all
 matchings (backtracking), buckets them by multiplicity vector, and runs
 exhaustive verification of the acyclic matching property over every valid
 subset pair of a small cyclic group.  `acyclicity_report` walks a per-pair
-table of sums; `enumerate_matchings` with `multiplicity` is the independent
-reference route that tests compare it against.
+table of sums and keeps the class table it fills: `has_acyclic` reads the
+class sizes alone, while the sorted classes and the witness are built from
+the table on first read.  `enumerate_matchings` with `multiplicity` is the
+independent reference route that tests compare it against.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import BoundExceededError
@@ -130,6 +133,9 @@ def matching_exists(pair: SubsetPair) -> bool:
     for a in pair.a:
         if augment(a, set()):
             matched += 1
+    # augment refers to itself; dropping the name frees the tables by
+    # refcount rather than leaving them to the cyclic collector
+    del augment
     return matched == pair.size
 
 
@@ -176,17 +182,43 @@ def enumerate_matchings(
 class AcyclicityReport:
     """All matchings of one pair, bucketed by multiplicity vector.
 
-    A singleton bucket witnesses an acyclic matching.
+    A singleton bucket witnesses an acyclic matching.  The report keeps the
+    walk's table, keyed by each class's sorted sums: `has_acyclic` reads
+    the class sizes alone, and `classes` and `acyclic_witness` are built
+    from the table the first time they are read.
     """
 
     pair: SubsetPair
     total_matchings: int
-    classes: tuple[tuple[MultiplicityVector, int, Matching], ...]
-    acyclic_witness: Matching | None
+    # sorted sums -> class size, and -> the class's first assignment
+    _sizes: dict[tuple[int, ...], int] = field(repr=False, compare=False)
+    _first: dict[tuple[int, ...], tuple[int, ...]] = field(repr=False, compare=False)
 
     @property
     def has_acyclic(self) -> bool:
-        return self.acyclic_witness is not None
+        return 1 in self._sizes.values()
+
+    @cached_property
+    def classes(self) -> tuple[tuple[MultiplicityVector, int, Matching], ...]:
+        """(vector, size, first matching) per class, sorted by vector."""
+        # vectors are unique, so the sort never compares the Matchings
+        return tuple(sorted(
+            (_vector(key), size, Matching(self.pair, self._first[key]))
+            for key, size in self._sizes.items()
+        ))
+
+    @cached_property
+    def acyclic_witness(self) -> Matching | None:
+        """The first matching of the singleton class with the lex-least
+        vector, or None."""
+        singletons = [key for key, size in self._sizes.items() if size == 1]
+        if not singletons:
+            return None
+        # a vector starts with its smallest sum, so the lex-least vector
+        # has the least smallest sum
+        least = min(key[0] for key in singletons)
+        key = min((key for key in singletons if key[0] == least), key=_vector)
+        return Matching(self.pair, self._first[key])
 
 
 def acyclicity_report(
@@ -201,7 +233,9 @@ def acyclicity_report(
     ascending, each partner tried in ascending order of B) over a table of
     the allowed (partner, sum) choices built once per pair.  Each matching
     is keyed by its sorted sums, which determine its multiplicity vector
-    and are determined by it, so each class's vector is built once.
+    and are determined by it.  The report keeps that table; each class's
+    vector and `Matching` are built from it only when `classes` or
+    `acyclic_witness` is first read.
     """
     if pair.size > bound:
         raise BoundExceededError(f"|A| = {pair.size} exceeds enumeration bound {bound}")
@@ -246,12 +280,7 @@ def acyclicity_report(
     # walk refers to itself; dropping the name frees the tables by refcount
     # rather than leaving them to the cyclic collector
     del walk
-    # vectors are unique, so the sort never compares the Matchings
-    classes = tuple(sorted(
-        (_vector(key), size, Matching(pair, first[key])) for key, size in sizes.items()
-    ))
-    witness = next((m for _, size, m in classes if size == 1), None)
-    return AcyclicityReport(pair, sum(sizes.values()), classes, witness)
+    return AcyclicityReport(pair, sum(sizes.values()), sizes, first)
 
 
 def iter_valid_pairs(n: int, sizes: tuple[int, ...] | None = None) -> Iterator[SubsetPair]:

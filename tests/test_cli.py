@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from matchlab import genfun
 from matchlab.cli import main
 from matchlab.config import RunConfig
 
@@ -26,6 +27,20 @@ class TestGenfunCommand:
         code, out, _ = run(["genfun", "10", "6", "--check"], capsys)
         assert code == 0
         assert "agree" in out
+
+    def test_check_computes_each_method_once(self, capsys, monkeypatch):
+        calls = []
+        transfer = genfun.transfer_genfun
+
+        def counting(n, m):
+            calls.append((n, m))
+            return transfer(n, m)
+
+        monkeypatch.setattr(genfun, "transfer_genfun", counting)
+        code, out, _ = run(["genfun", "10", "6", "--check"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "check: brute+closed+transfer agree"
+        assert calls == [(10, 6)]
 
     def test_json_format(self, capsys):
         code, out, _ = run(["--format", "json", "genfun", "7", "2"], capsys)

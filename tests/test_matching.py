@@ -225,6 +225,30 @@ class TestAcyclicityReport:
     def test_report_matches_enumeration_in_z(self, pair):
         assert report_summary(pair) == reference_report(pair)
 
+    @staticmethod
+    def assert_lazy_answers_agree(pair):
+        answers = []
+        for witness_first in (True, False):
+            r = acyclicity_report(pair)
+            if witness_first:
+                witness, classes = r.acyclic_witness, r.classes
+            else:
+                classes, witness = r.classes, r.acyclic_witness
+            assert r.has_acyclic == (witness is not None)
+            assert witness == next((m for _, s, m in classes if s == 1), None)
+            answers.append((r.total_matchings, r.has_acyclic, witness, classes))
+        assert answers[0] == answers[1]
+
+    def test_lazy_answers_agree(self):
+        for n in range(2, 8):
+            for pair in iter_valid_pairs(n):
+                self.assert_lazy_answers_agree(pair)
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_pairs(max_size=6))
+    def test_lazy_answers_agree_in_z(self, pair):
+        self.assert_lazy_answers_agree(pair)
+
     def test_bound_enforced(self):
         p = complement_pair(8, (0, 1, 3), (0, 1, 2))
         with pytest.raises(BoundExceededError):
