@@ -11,7 +11,6 @@ from .certify import (
 from .config import RunConfig
 from .errors import (
     BoundExceededError,
-    CoefficientOverflowError,
     MatchlabError,
     VerificationFailure,
 )

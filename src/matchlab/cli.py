@@ -21,7 +21,6 @@ from .certify import classify, failure_certificate
 from .config import CONFIG_ENV_VAR, OUTPUT_FORMATS, RunConfig
 from .errors import (
     BoundExceededError,
-    CoefficientOverflowError,
     MatchlabError,
     VerificationFailure,
 )
@@ -62,9 +61,6 @@ def cmd_classify(args, cfg: RunConfig) -> int:
             descriptor = int(descriptor)
         except ValueError:
             print(f"error: group must be a positive integer or Z, got {args.group!r}", file=sys.stderr)
-            return EXIT_USAGE
-        if descriptor < 1:
-            print(f"error: group order must be >= 1, got {descriptor}", file=sys.stderr)
             return EXIT_USAGE
     cert = classify(
         descriptor,
@@ -365,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
             overrides[args.bound_field] = args.bound
         cfg = cfg.override(**overrides)
         return args.func(args, cfg)
-    except (BoundExceededError, CoefficientOverflowError) as exc:
+    except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except VerificationFailure as exc:

@@ -1,8 +1,4 @@
-"""Exception types and checked-arithmetic limits shared across the package."""
-
-# Counts and polynomial coefficients are kept inside signed 64-bit range and
-# checked on every arithmetic step.
-I64_MAX = 2**63 - 1
+"""Exception types shared across the package."""
 
 
 class MatchlabError(Exception):
@@ -10,13 +6,8 @@ class MatchlabError(Exception):
 
 
 class BoundExceededError(MatchlabError):
-    """A configured resource bound (enumeration size, group order, element
-    magnitude) was exceeded.  Maps to CLI exit code 3."""
-
-
-class CoefficientOverflowError(MatchlabError):
-    """A polynomial coefficient or matching count left the checked 64-bit
-    range.  Never silently wraps.  Maps to CLI exit code 3."""
+    """A configured resource bound (enumeration size, group order) was
+    exceeded.  Maps to CLI exit code 3."""
 
 
 class VerificationFailure(MatchlabError):

@@ -15,22 +15,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .errors import CoefficientOverflowError, I64_MAX
 from .groups import cyclic
 from .matching import DEFAULT_ENUMERATION_BOUND, SubsetPair, acyclicity_report
 
 Exponents = tuple[int, int, int]  # (w0, w1, w3)
 
 
-def _checked(c: int) -> int:
-    if c > I64_MAX:
-        raise CoefficientOverflowError(f"coefficient {c} exceeds 64-bit range")
-    return c
-
-
 class GenPoly:
     """Sparse polynomial over exponent triples (w0, w1, w3) with positive
-    checked 64-bit integer coefficients."""
+    exact integer coefficients."""
 
     __slots__ = ("_terms",)
 
@@ -44,7 +37,7 @@ class GenPoly:
             w = (int(w[0]), int(w[1]), int(w[2]))
             if min(w) < 0:
                 raise ValueError(f"negative exponent in {w}")
-            clean[w] = _checked(c)
+            clean[w] = c
         self._terms = clean
 
     @classmethod
@@ -84,7 +77,7 @@ class GenPoly:
     def __add__(self, other: "GenPoly") -> "GenPoly":
         terms = dict(self._terms)
         for w, c in other._terms.items():
-            terms[w] = _checked(terms.get(w, 0) + c)
+            terms[w] = terms.get(w, 0) + c
         return GenPoly(terms)
 
     def __mul__(self, other: "GenPoly") -> "GenPoly":
@@ -92,12 +85,12 @@ class GenPoly:
         for (a0, a1, a3), ca in self._terms.items():
             for (b0, b1, b3), cb in other._terms.items():
                 w = (a0 + b0, a1 + b1, a3 + b3)
-                terms[w] = _checked(terms[w] + _checked(ca * cb))
+                terms[w] += ca * cb
         return GenPoly(dict(terms))
 
     def total(self) -> int:
         """Sum of all coefficients (total matching count)."""
-        return _checked(sum(self._terms.values()))
+        return sum(self._terms.values())
 
     def min_coefficient(self) -> int | None:
         return min(self._terms.values()) if self._terms else None

@@ -1,19 +1,13 @@
 """Ambient abelian groups: cyclic groups Z/nZ and the integers.
 
 Elements are plain Python ints in canonical form: residues in [0, n) for the
-cyclic case, bounded signed integers for Z.  All operations are pure.
+cyclic case, any int for Z.  All operations are pure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-from .errors import BoundExceededError
-
-# Magnitude cap for elements of Z.  Desk-scale verification never needs more;
-# exceeding it is a bounds error, not a silent wrap.
-DEFAULT_INT_BOUND = 2**31
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -25,7 +19,6 @@ class GroupCtx:
 
     kind: str  # "cyclic" | "integers"
     modulus: int | None = None
-    int_bound: int = field(default=DEFAULT_INT_BOUND, compare=False)
 
     def __post_init__(self):
         if self.kind == "cyclic":
@@ -44,23 +37,18 @@ class GroupCtx:
     def canonicalize(self, x: int) -> int:
         if self.is_cyclic:
             return x % self.modulus
-        if abs(x) > self.int_bound:
-            raise BoundExceededError(f"integer element {x} exceeds bound {self.int_bound}")
         return x
 
     def is_canonical(self, x: int) -> bool:
         if self.is_cyclic:
             return 0 <= x < self.modulus
-        return abs(x) <= self.int_bound
+        return True
 
     def add(self, x: int, y: int) -> int:
         """Group addition of canonical elements; result is canonical."""
         if self.is_cyclic:
             return (x + y) % self.modulus
-        s = x + y
-        if abs(s) > self.int_bound:
-            raise BoundExceededError(f"integer sum {s} exceeds bound {self.int_bound}")
-        return s
+        return x + y
 
     def describe(self) -> str:
         return f"Z/{self.modulus}Z" if self.is_cyclic else "Z"
@@ -70,8 +58,8 @@ def cyclic(n: int) -> GroupCtx:
     return GroupCtx("cyclic", n)
 
 
-def integers(bound: int = DEFAULT_INT_BOUND) -> GroupCtx:
-    return GroupCtx("integers", None, bound)
+def integers() -> GroupCtx:
+    return GroupCtx("integers")
 
 
 def subgroup_generated(g: GroupCtx, a: int) -> tuple[int, ...]:

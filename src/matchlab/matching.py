@@ -59,19 +59,9 @@ class SubsetPair:
     def size(self) -> int:
         return len(self.a)
 
-    def a_contains(self, x: int) -> bool:
-        return x in self._a_set
-
-    @property
-    def _a_set(self):
-        # cached frozenset; cyclic orders in scope are tiny so a set beats
-        # recomputing, and frozenset hashing keeps the dataclass frozen
-        try:
-            return self.__dict__["_a_set_cache"]
-        except KeyError:
-            s = frozenset(self.a)
-            self.__dict__["_a_set_cache"] = s
-            return s
+    @cached_property
+    def _a_set(self) -> frozenset[int]:
+        return frozenset(self.a)
 
 
 @dataclass(frozen=True)
@@ -91,8 +81,9 @@ def is_matching(pair: SubsetPair, assignment: tuple[int, ...] | list[int]) -> bo
     if set(assignment) != set(pair.b):
         return False
     g = pair.group
+    a_set = pair._a_set
     for a, fa in zip(pair.a, assignment):
-        if pair.a_contains(g.add(a, fa)):
+        if g.add(a, fa) in a_set:
             return False
     return True
 
@@ -152,9 +143,10 @@ def enumerate_matchings(
     if pair.size > bound:
         raise BoundExceededError(f"|A| = {pair.size} exceeds enumeration bound {bound}")
     g = pair.group
+    a_set = pair._a_set
     # candidates[i] = elements of B that the i-th element of A may be matched to
     candidates = [
-        [b for b in pair.b if not pair.a_contains(g.add(a, b))]
+        [b for b in pair.b if g.add(a, b) not in a_set]
         for a in pair.a
     ]
     results: list[tuple[int, ...]] = []

@@ -48,10 +48,10 @@ class TestGenfunCommand:
         payload = json.loads(out)
         assert payload["terms"] == [{"w": [1, 1, 2], "c": 2}]
 
-    def test_coefficient_overflow_exit_3(self, capsys):
-        code, _, err = run(["genfun", "200", "2"], capsys)
-        assert code == 3
-        assert "64-bit" in err
+    def test_coefficients_past_64_bits(self, capsys):
+        code, out, _ = run(["genfun", "200", "2", "--check"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "check: closed+transfer agree"
 
     def test_closed_form_unavailable_is_usage_error(self, capsys):
         code, _, err = run(["genfun", "9", "3", "--method", "closed"], capsys)
@@ -78,6 +78,12 @@ class TestClassifyCommand:
     def test_invalid_descriptor(self, capsys):
         code, _, err = run(["classify", "pear"], capsys)
         assert code == 2
+
+    def test_order_zero_is_usage_error(self, capsys):
+        code, out, err = run(["classify", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: group order must be >= 1, got 0\n"
 
 
 class TestVerifyAmpCommand:
@@ -108,6 +114,14 @@ class TestEnumerateCommand:
         assert payload["total_matchings"] == 2
         assert payload["acyclic_witness"] is None
 
+    def test_integers_past_32_bits(self, capsys):
+        code, out, _ = run(
+            ["--format", "json", "enumerate", "Z", "--a", "0,4294967296", "--b", "1,2"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["total_matchings"] == 2
+
     def test_invalid_pair_is_usage_error(self, capsys):
         code, _, err = run(["enumerate", "7", "--a", "1,2", "--b", "0,1"], capsys)
         assert code == 2
@@ -126,11 +140,12 @@ class TestCertifyCommand:
         assert code == 0
         assert json.loads(out)["claim"] == "nonprime_failure"
 
-    def test_coefficient_overflow_exit_3(self, capsys):
-        code, out, err = run(["certify", "199"], capsys)
-        assert code == 3
-        assert out == ""
-        assert "64-bit" in err
+    def test_coefficients_past_64_bits(self, capsys):
+        code, out, _ = run(["certify", "199"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verified"] is True
+        assert max(t["c"] for t in payload["evidence"]["genfun"]) > 2**64
 
     def test_small_prime_is_usage_error(self, capsys):
         code, _, err = run(["certify", "5"], capsys)

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from matchlab.errors import BoundExceededError
 from matchlab.groups import cyclic, integers, subgroup_generated, units
 
 
@@ -19,14 +18,6 @@ def test_cyclic_add(n, x, y, expected):
 
 def test_integers_add():
     assert integers().add(4, 5) == 9
-
-
-def test_integers_overflow_is_error():
-    g = integers(bound=100)
-    with pytest.raises(BoundExceededError):
-        g.add(90, 20)
-    with pytest.raises(BoundExceededError):
-        g.canonicalize(101)
 
 
 @given(st.integers(min_value=1, max_value=50), st.integers())

@@ -254,10 +254,6 @@ class TestAcyclicityReport:
         with pytest.raises(BoundExceededError):
             acyclicity_report(p, bound=p.size - 1)
 
-    def test_integer_sum_past_bound(self):
-        with pytest.raises(BoundExceededError):
-            acyclicity_report(SubsetPair(integers(10), (9,), (5,)))
-
     def test_symmetry_soundness(self):
         # simultaneous unit scaling preserves the class-size multiset
         for n in range(2, 8):
@@ -271,6 +267,21 @@ class TestAcyclicityReport:
                         tuple(u * b % n for b in pair.b),
                     )
                     assert sorted(c for _, c, _ in acyclicity_report(image).classes) == base
+
+    @settings(max_examples=50, deadline=None)
+    @given(integer_pairs(max_size=6))
+    def test_scaling_in_z_keeps_classes(self, pair):
+        # in Z, lam*a + lam*b lies in lam*A iff a + b lies in A, so scaling by
+        # lam > 0 maps matchings and their classes one to one, at any width
+        lam = 2**40
+        scaled = SubsetPair(
+            pair.group, tuple(lam * a for a in pair.a), tuple(lam * b for b in pair.b)
+        )
+        report, scaled_report = acyclicity_report(pair), acyclicity_report(scaled)
+        assert scaled_report.total_matchings == report.total_matchings
+        assert [c for _, c, _ in scaled_report.classes] == [
+            c for _, c, _ in report.classes
+        ]
 
 
 class TestVerifyGroupAmp:
