@@ -50,6 +50,8 @@ ENUMERATION_CROSSCHECK_MAX_N = 14
 
 DEFAULT_SAMPLE_COUNT = 500
 DEFAULT_SEED = 20240601
+SAMPLE_MAX_SIZE = 5
+SAMPLE_SPAN = 6
 
 
 @dataclass
@@ -200,20 +202,16 @@ def failure_certificate(
     return certify_coprime6(n, enumeration_bound)
 
 
-def sample_integer_pairs(
-    rng: random.Random,
-    count: int,
-    max_size: int = 5,
-    span: int = 6,
-) -> list[SubsetPair]:
-    """Seeded random pairs A, B of subsets of Z with |A| = |B| <= max_size,
-    elements in [-span, span], 0 not in B."""
+def sample_integer_pairs(rng: random.Random, count: int) -> list[SubsetPair]:
+    """Seeded random pairs A, B of subsets of Z with
+    |A| = |B| <= SAMPLE_MAX_SIZE, elements in [-SAMPLE_SPAN, SAMPLE_SPAN],
+    0 not in B."""
     g = integers()
     pairs = []
-    universe = list(range(-span, span + 1))
+    universe = list(range(-SAMPLE_SPAN, SAMPLE_SPAN + 1))
     universe_no_zero = [x for x in universe if x != 0]
     for _ in range(count):
-        k = rng.randint(1, max_size)
+        k = rng.randint(1, SAMPLE_MAX_SIZE)
         a = tuple(sorted(rng.sample(universe, k)))
         b = tuple(sorted(rng.sample(universe_no_zero, k)))
         pairs.append(SubsetPair(g, a, b))
@@ -235,8 +233,8 @@ def spot_check_integers(
     return {
         "seed": seed,
         "samples": count,
-        "max_size": 5,
-        "element_span": 6,
+        "max_size": SAMPLE_MAX_SIZE,
+        "element_span": SAMPLE_SPAN,
         "failures": failures,
     }
 

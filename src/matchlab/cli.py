@@ -54,16 +54,19 @@ def _parse_elements(raw: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {raw!r}")
 
 
+def _parse_group(raw: str) -> str | int:
+    """The group argument: "Z" for the integers, else the order n of Z/nZ."""
+    if raw.upper() == "Z":
+        return "Z"
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"group must be a positive integer or Z, got {raw!r}") from None
+
+
 def cmd_classify(args, cfg: RunConfig) -> int:
-    descriptor: str | int = args.group
-    if descriptor.upper() != "Z":
-        try:
-            descriptor = int(descriptor)
-        except ValueError:
-            print(f"error: group must be a positive integer or Z, got {args.group!r}", file=sys.stderr)
-            return EXIT_USAGE
     cert = classify(
-        descriptor,
+        _parse_group(args.group),
         exhaustive_bound=cfg.exhaustive_group_bound,
         enumeration_bound=cfg.enumeration_bound,
         use_symmetry=cfg.symmetry_reduction,
@@ -119,7 +122,8 @@ def cmd_verify_amp(args, cfg: RunConfig) -> int:
 
 
 def cmd_enumerate(args, cfg: RunConfig) -> int:
-    g = integers() if args.group.upper() == "Z" else cyclic(int(args.group))
+    descriptor = _parse_group(args.group)
+    g = integers() if descriptor == "Z" else cyclic(descriptor)
     pair = SubsetPair(g, args.a, args.b)
     report = acyclicity_report(pair, cfg.enumeration_bound)
     payload = {

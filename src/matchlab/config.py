@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .certify import DEFAULT_SEED
+from .errors import MatchlabError
 from .matching import DEFAULT_ENUMERATION_BOUND, DEFAULT_EXHAUSTIVE_BOUND
 
 CONFIG_ENV_VAR = "MATCHLAB_CONFIG"
@@ -30,8 +31,19 @@ class RunConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        for name in ("enumeration_bound", "exhaustive_group_bound", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.symmetry_reduction, bool):
+            raise ValueError(
+                f"symmetry_reduction must be true or false, got {self.symmetry_reduction!r}"
+            )
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ValueError(f"output_path must be a string, got {self.output_path!r}")
         if self.enumeration_bound <= 0 or self.exhaustive_group_bound <= 0:
             raise ValueError("bounds must be positive")
+        # only a str can equal a member, so this also checks the type
         if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(
                 f"output_format must be one of {OUTPUT_FORMATS}, got {self.output_format!r}"
@@ -39,8 +51,13 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        with open(path) as fh:
-            data = json.load(fh)
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise MatchlabError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -13,6 +13,9 @@ table of sums and keeps the class table it fills: `has_acyclic` reads the
 class sizes alone, while the sorted classes and the witness are built from
 the table on first read.  `enumerate_matchings` with `multiplicity` is the
 independent reference route that tests compare it against.
+
+`SubsetPair` and `Matching` are slotted records that hold only their data;
+each engine builds the lookup set of A it needs once per call.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ DEFAULT_EXHAUSTIVE_BOUND = 8
 MultiplicityVector = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubsetPair:
     """A pair (A, B) of equal-size finite subsets with 0 not in B."""
 
@@ -59,12 +62,8 @@ class SubsetPair:
     def size(self) -> int:
         return len(self.a)
 
-    @cached_property
-    def _a_set(self) -> frozenset[int]:
-        return frozenset(self.a)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matching:
     """A valid matching; assignment[i] is the partner of the i-th smallest
     element of A."""
@@ -81,7 +80,7 @@ def is_matching(pair: SubsetPair, assignment: tuple[int, ...] | list[int]) -> bo
     if set(assignment) != set(pair.b):
         return False
     g = pair.group
-    a_set = pair._a_set
+    a_set = frozenset(pair.a)
     for a, fa in zip(pair.a, assignment):
         if g.add(a, fa) in a_set:
             return False
@@ -106,7 +105,7 @@ def matching_exists(pair: SubsetPair) -> bool:
     """Decide matching existence via augmenting paths on the bipartite
     compatibility graph: edge (a, b) iff a + b not in A."""
     g = pair.group
-    a_set = pair._a_set
+    a_set = frozenset(pair.a)
     adj = {a: [b for b in pair.b if g.add(a, b) not in a_set] for a in pair.a}
     match_of_b: dict[int, int] = {}
 
@@ -143,7 +142,7 @@ def enumerate_matchings(
     if pair.size > bound:
         raise BoundExceededError(f"|A| = {pair.size} exceeds enumeration bound {bound}")
     g = pair.group
-    a_set = pair._a_set
+    a_set = frozenset(pair.a)
     # candidates[i] = elements of B that the i-th element of A may be matched to
     candidates = [
         [b for b in pair.b if g.add(a, b) not in a_set]
@@ -232,7 +231,7 @@ def acyclicity_report(
     if pair.size > bound:
         raise BoundExceededError(f"|A| = {pair.size} exceeds enumeration bound {bound}")
     g = pair.group
-    a_set = pair._a_set
+    a_set = frozenset(pair.a)
     # options[i] = (b, a_i + b) for each partner b the i-th element of A may take
     options = []
     for a in pair.a:
@@ -293,8 +292,11 @@ def _canonical_orbit_key(n: int, pair: SubsetPair, unit_group: tuple[int, ...]) 
     `unit_group` of Z/nZ.
 
     Sound because u(a + f(a)) = ua + u f(a) and uA is the image of A, so the
-    multiplicity-class structure is preserved.  Translations are NOT used:
-    the condition a + f(a) not in A is not translation-invariant.
+    multiplicity-class structure is preserved.  Translating A and B together
+    is not sound: a + f(a) moves by 2t while A moves by t, so the condition
+    a + f(a) not in A is not kept.  Translating A alone is sound, since
+    (a + t) + f(a) lies in A + t exactly when a + f(a) lies in A, and it
+    keeps the class sizes; it is not used yet.
     """
     best = None
     for u in unit_group:

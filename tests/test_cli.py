@@ -76,8 +76,10 @@ class TestClassifyCommand:
         assert "torsion-free" in out
 
     def test_invalid_descriptor(self, capsys):
-        code, _, err = run(["classify", "pear"], capsys)
+        code, out, err = run(["classify", "pear"], capsys)
         assert code == 2
+        assert out == ""
+        assert err == "error: group must be a positive integer or Z, got 'pear'\n"
 
     def test_order_zero_is_usage_error(self, capsys):
         code, out, err = run(["classify", "0"], capsys)
@@ -125,6 +127,12 @@ class TestEnumerateCommand:
     def test_invalid_pair_is_usage_error(self, capsys):
         code, _, err = run(["enumerate", "7", "--a", "1,2", "--b", "0,1"], capsys)
         assert code == 2
+
+    def test_invalid_group_is_usage_error(self, capsys):
+        code, out, err = run(["enumerate", "pear", "--a", "1", "--b", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: group must be a positive integer or Z, got 'pear'\n"
 
 
 class TestCertifyCommand:
@@ -203,6 +211,8 @@ class TestConfig:
             RunConfig(enumeration_bound=0)
         with pytest.raises(ValueError):
             RunConfig(output_format="xml")
+        with pytest.raises(ValueError):
+            RunConfig(output_path=5)
 
     def test_env_config_file(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "cfg.json"
@@ -216,6 +226,45 @@ class TestConfig:
         path.write_text(json.dumps({"bogus": 1}))
         with pytest.raises(ValueError):
             RunConfig.from_file(path)
+
+    def test_missing_config_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing.json"
+        code, out, err = run(["--config", str(path), "classify", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read config {path}: ")
+
+    def test_missing_env_config_file_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("MATCHLAB_CONFIG", str(tmp_path / "missing.json"))
+        code, out, err = run(["classify", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read config ")
+
+    def test_config_not_an_object_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[]")
+        code, out, err = run(["--config", str(path), "classify", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: config must be a JSON object, got list\n"
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("enumeration_bound", "20"),
+            ("exhaustive_group_bound", True),
+            ("seed", "x"),
+            ("symmetry_reduction", "no"),
+        ],
+    )
+    def test_wrongly_typed_field_is_usage_error(self, capsys, tmp_path, field, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: value}))
+        code, out, err = run(["--config", str(path), "classify", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field} must be ")
 
     def test_no_symmetry_flag(self, capsys):
         code, out, _ = run(["--no-symmetry", "--format", "json", "verify-amp", "7"], capsys)

@@ -74,6 +74,20 @@ class TestSubsetPair:
         p = SubsetPair(cyclic(7), (3, 1), (4, 2))
         assert p.a == (1, 3) and p.b == (2, 4)
 
+    @pytest.mark.parametrize(
+        "pair",
+        [SubsetPair(cyclic(7), (0, 1, 3), (1, 2, 4)), SubsetPair(integers(), (-2, 0, 5), (1, 3, 4))],
+        ids=["Z/7Z", "Z"],
+    )
+    def test_engines_store_nothing_on_pair(self, pair):
+        is_matching(pair, pair.b)
+        matching_exists(pair)
+        report = acyclicity_report(pair)
+        records = [pair, report.acyclic_witness, *enumerate_matchings(pair),
+                   *(m for _, _, m in report.classes)]
+        assert len(records) > 2
+        assert not any(hasattr(r, "__dict__") for r in records)
+
 
 class TestIsMatching:
     def test_singleton_valid(self):
