@@ -255,8 +255,12 @@ def cmd_report(args, cfg: RunConfig) -> int:
     except ValueError:
         print(f"error: range must be N or LO..HI, got {raw!r}", file=sys.stderr)
         return EXIT_USAGE
+    ns = range(max(lo, 1), hi + 1)
+    if not ns:
+        print(f"error: range {raw!r} contains no n >= 1", file=sys.stderr)
+        return EXIT_USAGE
     start = time.perf_counter()
-    rows = [_report_row(n, cfg) for n in range(max(lo, 1), hi + 1)]
+    rows = [_report_row(n, cfg) for n in ns]
     wall = time.perf_counter() - start
     all_verified = all(r["verified"] for r in rows)
 

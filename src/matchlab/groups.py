@@ -46,9 +46,9 @@ class GroupCtx:
 
     def add(self, x: int, y: int) -> int:
         """Group addition of canonical elements; result is canonical."""
-        if self.is_cyclic:
-            return (x + y) % self.modulus
-        return x + y
+        # one attribute read per call: engines add k^2 times per pair
+        n = self.modulus
+        return x + y if n is None else (x + y) % n
 
     def describe(self) -> str:
         return f"Z/{self.modulus}Z" if self.is_cyclic else "Z"

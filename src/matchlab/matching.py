@@ -8,11 +8,15 @@ other matching shares its multiplicity vector.
 This module decides matching existence (augmenting paths), enumerates all
 matchings (backtracking), buckets them by multiplicity vector, and runs
 exhaustive verification of the acyclic matching property over every valid
-subset pair of a small cyclic group.  `acyclicity_report` walks a per-pair
-table of sums and keeps the class table it fills: `has_acyclic` reads the
-class sizes alone, while the sorted classes and the witness are built from
-the table on first read.  `enumerate_matchings` with `multiplicity` is the
-independent reference route that tests compare it against.
+subset pair of a small cyclic group.  `acyclicity_report` keys each
+matching by one int, a digit per distinct allowed sum counting how often it
+occurs, and splits the walk: it backtracks over the first half of A, and
+the completions of the second half, which depend only on the set of B left,
+are walked once per such set the first time a prefix leaves it.  It keeps
+the class table: `has_acyclic` reads the class sizes alone, while the sorted
+classes and the witness are decoded from the keys on first read.
+`enumerate_matchings` with `multiplicity` is the independent reference
+route that tests compare it against.
 
 `SubsetPair` and `Matching` are slotted records that hold only their data;
 each engine builds the lookup set of A it needs once per call.
@@ -23,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import BoundExceededError
 from .groups import GroupCtx, cyclic, units
@@ -87,18 +91,14 @@ def is_matching(pair: SubsetPair, assignment: tuple[int, ...] | list[int]) -> bo
     return True
 
 
-def _vector(sums: Iterable[int]) -> MultiplicityVector:
-    """The multiplicity vector of a sequence of sums."""
-    counts: dict[int, int] = {}
-    for s in sums:
-        counts[s] = counts.get(s, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
 def multiplicity(m: Matching) -> MultiplicityVector:
     """Counts of the sums a + f(a), sorted by element."""
     g = m.pair.group
-    return _vector(g.add(a, fa) for a, fa in zip(m.pair.a, m.assignment))
+    counts: dict[int, int] = {}
+    for a, fa in zip(m.pair.a, m.assignment):
+        s = g.add(a, fa)
+        counts[s] = counts.get(s, 0) + 1
+    return tuple(sorted(counts.items()))
 
 
 def matching_exists(pair: SubsetPair) -> bool:
@@ -174,27 +174,44 @@ class AcyclicityReport:
     """All matchings of one pair, bucketed by multiplicity vector.
 
     A singleton bucket witnesses an acyclic matching.  The report keeps the
-    walk's table, keyed by each class's sorted sums: `has_acyclic` reads
-    the class sizes alone, and `classes` and `acyclic_witness` are built
-    from the table the first time they are read.
+    walk's table, keyed by one int per class: digit r of the key,
+    `k.bit_length()` bits wide for |A| = k, counts the matched sums equal to
+    `_sums[r]`.  `has_acyclic` reads the class sizes alone; `classes`
+    decodes the keys into vectors, and `acyclic_witness` compares the keys
+    digit by digit, the first time each is read.
     """
 
     pair: SubsetPair
     total_matchings: int
-    # sorted sums -> class size, and -> the class's first assignment
-    _sizes: dict[tuple[int, ...], int] = field(repr=False, compare=False)
-    _first: dict[tuple[int, ...], tuple[int, ...]] = field(repr=False, compare=False)
+    # the pair's distinct allowed sums, ascending: a key's digit r counts _sums[r]
+    _sums: tuple[int, ...] = field(repr=False, compare=False)
+    # class key -> class size, and -> the class's first assignment
+    _sizes: dict[int, int] = field(repr=False, compare=False)
+    _first: dict[int, tuple[int, ...]] = field(repr=False, compare=False)
 
     @property
     def has_acyclic(self) -> bool:
         return 1 in self._sizes.values()
+
+    def _decode(self, key: int) -> MultiplicityVector:
+        """The multiplicity vector a class key encodes."""
+        width = self.pair.size.bit_length()
+        digit = (1 << width) - 1
+        vector = []
+        for s in self._sums:
+            if not key:
+                break
+            if key & digit:
+                vector.append((s, key & digit))
+            key >>= width
+        return tuple(vector)
 
     @cached_property
     def classes(self) -> tuple[tuple[MultiplicityVector, int, Matching], ...]:
         """(vector, size, first matching) per class, sorted by vector."""
         # vectors are unique, so the sort never compares the Matchings
         return tuple(sorted(
-            (_vector(key), size, Matching(self.pair, self._first[key]))
+            (self._decode(key), size, Matching(self.pair, self._first[key]))
             for key, size in self._sizes.items()
         ))
 
@@ -205,11 +222,22 @@ class AcyclicityReport:
         singletons = [key for key, size in self._sizes.items() if size == 1]
         if not singletons:
             return None
-        # a vector starts with its smallest sum, so the lex-least vector
-        # has the least smallest sum
-        least = min(key[0] for key in singletons)
-        key = min((key for key in singletons if key[0] == least), key=_vector)
-        return Matching(self.pair, self._first[key])
+        # Vectors compare entry by entry from the smallest sum, so at the
+        # lowest digit where two keys differ a nonzero count beats 0 and a
+        # smaller count beats a larger one.  The keys left always agree
+        # below bit `shift`; skip to the lowest digit where one is nonzero
+        # and keep the keys with the least nonzero count there.
+        width = self.pair.size.bit_length()
+        digit = (1 << width) - 1
+        keys, shift = singletons, 0
+        while len(keys) > 1:
+            low = min(rest & -rest for rest in (key >> shift for key in keys))
+            shift += (low.bit_length() - 1) // width * width
+            counts = [key >> shift & digit for key in keys]
+            least = min(count for count in counts if count)
+            keys = [key for key, count in zip(keys, counts) if count == least]
+            shift += width
+        return Matching(self.pair, self._first[keys[0]])
 
 
 def acyclicity_report(
@@ -220,58 +248,110 @@ def acyclicity_report(
     vector; the witness is the first matching of the singleton class with
     the lex-least vector.
 
-    The walk visits matchings in the order of `enumerate_matchings` (A
-    ascending, each partner tried in ascending order of B) over a table of
-    the allowed (partner, sum) choices built once per pair.  Each matching
-    is keyed by its sorted sums, which determine its multiplicity vector
-    and are determined by it.  The report keeps that table; each class's
-    vector and `Matching` are built from it only when `classes` or
+    A matching's class key is the sum of `1 << width * r` over its pairs
+    (a, b), where r is the rank of a + b among the pair's distinct allowed
+    sums and width is `k.bit_length()`.  A count never exceeds k <
+    2**width, so no digit carries: the key encodes the multiplicity vector
+    and is determined by it.  The walk backtracks over the first ceil(k/2)
+    elements of A in the order of `enumerate_matchings` (A ascending, each
+    partner tried in ascending order of B), keeping the used elements of B
+    as a bitmask.  The completions of the other elements depend only on the
+    set of B left.  The first time a prefix leaves a set, its completions
+    are walked once and kept as key part -> (count, first completion); a
+    set no prefix leaves is never walked.  Each prefix adds its key to the
+    parts, so sizes and first matchings come out as one walk over whole
+    matchings in assignment order gives them.  The report keeps the class
+    table; vectors and `Matching`s are built only when `classes` or
     `acyclic_witness` is first read.
     """
     if pair.size > bound:
         raise BoundExceededError(f"|A| = {pair.size} exceeds enumeration bound {bound}")
     g = pair.group
     a_set = frozenset(pair.a)
-    # options[i] = (b, a_i + b) for each partner b the i-th element of A may take
+    # options[i] = (b, bit of b, a_i + b) for each partner b the i-th
+    # element of A may take
     options = []
+    allowed_sums = set()
     for a in pair.a:
         row = []
-        for b in pair.b:
+        for j, b in enumerate(pair.b):
             s = g.add(a, b)
             if s not in a_set:
-                row.append((b, s))
+                row.append((b, 1 << j, s))
+                allowed_sums.add(s)
         options.append(row)
     k = pair.size
+    sums = tuple(sorted(allowed_sums))
+    width = k.bit_length()
+    # digit_of[s] = 1 << width * (rank of s); a loop, as a comprehension
+    # costs a call on every report, and tiny pairs are the most common
+    digit_of = {}
+    digit = 1
+    for s in sums:
+        digit_of[s] = digit
+        digit <<= width
+    half = (k + 1) // 2
     partner = [0] * k
-    sums = [0] * k
-    used = dict.fromkeys(pair.b, False)
-    sizes: dict[tuple[int, ...], int] = {}
-    first: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # used-B bitmask after the first half -> {key part: [count, first tail]},
+    # filled the first time a prefix reaches that mask
+    completions: dict[int, dict[int, list]] = {}
+    sizes: dict[int, int] = {}
+    first: dict[int, tuple[int, ...]] = {}
 
-    def walk(i: int):
-        if i == k:
-            key = tuple(sorted(sums))
-            size = sizes.get(key)
-            if size is None:
-                sizes[key] = 1
-                first[key] = tuple(partner)
-            else:
-                sizes[key] = size + 1
+    def tail(i, used, key, table):
+        if i < k - 1:
+            for b, bit, s in options[i]:
+                if not used & bit:
+                    partner[i] = b
+                    tail(i + 1, used | bit, key + digit_of[s], table)
             return
-        for b, s in options[i]:
-            if used[b]:
-                continue
-            used[b] = True
-            partner[i] = b
-            sums[i] = s
-            walk(i + 1)
-            used[b] = False
+        for b, bit, s in options[i]:
+            if not used & bit:
+                partner[i] = b
+                part = key + digit_of[s]
+                entry = table.get(part)
+                if entry is None:
+                    table[part] = [1, tuple(partner[half:])]
+                else:
+                    entry[0] += 1
 
-    walk(0)
-    # walk refers to itself; dropping the name frees the tables by refcount
-    # rather than leaving them to the cyclic collector
-    del walk
-    return AcyclicityReport(pair, sum(sizes.values()), sizes, first)
+    def head(i, used, key):
+        if i < half - 1:
+            for b, bit, s in options[i]:
+                if not used & bit:
+                    partner[i] = b
+                    head(i + 1, used | bit, key + digit_of[s])
+            return
+        for b, bit, s in options[i]:
+            if used & bit:
+                continue
+            partner[i] = b
+            taken = used | bit
+            tails = completions.get(taken)
+            if tails is None:
+                tails = completions[taken] = {}
+                if half < k:
+                    tail(half, taken, 0, tails)
+                else:  # k = 1: the empty completion
+                    tails[0] = [1, ()]
+            prefix = None
+            key_b = key + digit_of[s]
+            for part, (count, rest) in tails.items():
+                whole = key_b + part
+                size = sizes.get(whole)
+                if size is None:
+                    if prefix is None:
+                        prefix = tuple(partner[:half])
+                    sizes[whole] = count
+                    first[whole] = prefix + rest
+                else:
+                    sizes[whole] = size + count
+
+    head(0, 0, 0)
+    # head and tail refer to themselves; dropping the names frees the
+    # tables by refcount rather than leaving them to the cyclic collector
+    del head, tail
+    return AcyclicityReport(pair, sum(sizes.values()), sums, sizes, first)
 
 
 def iter_valid_pairs(n: int, sizes: tuple[int, ...] | None = None) -> Iterator[SubsetPair]:

@@ -190,9 +190,16 @@ class TestReportCommand:
         assert len(lines) == 3
 
     def test_empty_range(self, capsys):
-        code, out, _ = run(["--format", "csv", "report", "9..8"], capsys)
-        assert code == 0
-        assert out.strip().splitlines()[1:] == []
+        code, out, err = run(["--format", "csv", "report", "5..3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: range '5..3' contains no n >= 1\n"
+
+    def test_range_below_one_is_usage_error(self, capsys):
+        code, out, err = run(["report", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: range '0' contains no n >= 1\n"
 
     def test_bad_range_is_usage_error(self, capsys):
         code, _, _ = run(["report", "a..b"], capsys)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,9 +231,34 @@ class TestAcyclicityReport:
                 assert sum(count for _, count, _ in r.classes) == r.total_matchings
 
     def test_report_matches_enumeration(self):
-        for n in range(2, 8):
+        # |A| runs from 1 (no second half to complete) to 7, odd and even
+        for n in range(2, 9):
             for pair in iter_valid_pairs(n):
                 assert report_summary(pair) == reference_report(pair)
+
+    def test_report_matches_enumeration_on_dense_pairs_in_z(self):
+        # pairs with hundreds to thousands of matchings, whose completions
+        # are reused
+        rng = random.Random(8)
+        universe = range(-9, 10)
+        for k in (7, 8, 9):
+            for _ in range(5):
+                pair = SubsetPair(
+                    integers(),
+                    tuple(rng.sample(universe, k)),
+                    tuple(rng.sample([x for x in universe if x != 0], k)),
+                )
+                assert report_summary(pair) == reference_report(pair)
+
+    def test_single_matching_at_size_20(self):
+        # a + f(a) must leave A = {0..19}, so f(a) = 20 - a is the only
+        # matching; completions are walked only for the sets of B that a
+        # prefix leaves, which here is one set
+        pair = SubsetPair(integers(), tuple(range(20)), tuple(range(1, 21)))
+        r = acyclicity_report(pair)
+        assert r.total_matchings == 1
+        assert r.has_acyclic
+        assert r.acyclic_witness.assignment == tuple(range(20, 0, -1))
 
     @settings(max_examples=100, deadline=None)
     @given(integer_pairs(max_size=6))
