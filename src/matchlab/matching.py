@@ -8,13 +8,20 @@ other matching shares its multiplicity vector.
 This module decides matching existence (augmenting paths), enumerates all
 matchings (backtracking), buckets them by multiplicity vector, and runs
 exhaustive verification of the acyclic matching property over every valid
-subset pair of a small cyclic group.  `acyclicity_report` keys each
-matching by one int, a digit per distinct allowed sum counting how often it
-occurs, and splits the walk: it backtracks over the first half of A, and
+subset pair of a small cyclic group.  `acyclicity_report` builds the
+pair's allowed edges and picks one of two sides from the product of the row
+degrees, which bounds the number of matchings.  Up to `WALK_DEGREE_PRODUCT`
+it walks every matching, keyed by one int, a digit per distinct allowed sum
+counting how often it occurs: it backtracks over the first half of A, and
 the completions of the second half, which depend only on the set of B left,
 are walked once per such set the first time a prefix leaves it.  It keeps
 the class table: `has_acyclic` reads the class sizes alone, while the sorted
-classes and the witness are decoded from the keys on first read.
+classes and the witness are decoded from the keys on first read.  Beyond
+that product it counts the matchings by a DP over the used elements of B,
+then searches the classes in lex order of their vectors and stops at the
+first singleton, the witness; a search that creates more than
+`total_matchings // SEARCH_BUDGET_DIVISOR` states gives way to the walk, and
+on the search side the classes are walked when first read.
 `enumerate_matchings` with `multiplicity` is the independent reference
 route that tests compare it against.
 
@@ -25,6 +32,7 @@ each engine builds the lookup set of A it needs once per call.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
@@ -34,9 +42,19 @@ from .groups import GroupCtx, cyclic, units
 
 DEFAULT_ENUMERATION_BOUND = 20
 DEFAULT_EXHAUSTIVE_BOUND = 8
+# The product of the row degrees bounds the number of matchings; up to this
+# product `acyclicity_report` walks every matching, beyond it it counts them
+# and searches for the witness.
+WALK_DEGREE_PRODUCT = 2**12
+# The search falls back to the walk once it has created more than
+# total_matchings // SEARCH_BUDGET_DIVISOR states.
+SEARCH_BUDGET_DIVISOR = 16
 
 # entries: ((element, count), ...) sorted by element; counts sum to |A|
 MultiplicityVector = tuple[tuple[int, int], ...]
+# rows[i]: (b, 1 << index of b in B, a_i + b) per partner b the i-th element
+# of A may take, B ascending
+EdgeTable = list[list[tuple[int, int, int]]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,25 +191,37 @@ def enumerate_matchings(
 class AcyclicityReport:
     """All matchings of one pair, bucketed by multiplicity vector.
 
-    A singleton bucket witnesses an acyclic matching.  The report keeps the
-    walk's table, keyed by one int per class: digit r of the key,
-    `k.bit_length()` bits wide for |A| = k, counts the matched sums equal to
-    `_sums[r]`.  `has_acyclic` reads the class sizes alone; `classes`
-    decodes the keys into vectors, and `acyclic_witness` compares the keys
-    digit by digit, the first time each is read.
+    A singleton bucket witnesses an acyclic matching.  On the walk side the
+    report keeps the walk's table, keyed by one int per class: digit r of
+    the key, `k.bit_length()` bits wide for |A| = k, counts the matched sums
+    equal to `_sums[r]`.  `has_acyclic` reads the class sizes alone;
+    `classes` decodes the keys into vectors, and `acyclic_witness` compares
+    the keys digit by digit, the first time each is read.  On the search
+    side, taken for pairs whose row-degree product exceeds
+    `WALK_DEGREE_PRODUCT` when the search stays within its budget, the
+    report holds the count and the searched witness instead, and `classes`
+    runs the walk the first time it is read.
     """
 
     pair: SubsetPair
     total_matchings: int
     # the pair's distinct allowed sums, ascending: a key's digit r counts _sums[r]
     _sums: tuple[int, ...] = field(repr=False, compare=False)
-    # class key -> class size, and -> the class's first assignment
-    _sizes: dict[int, int] = field(repr=False, compare=False)
-    _first: dict[int, tuple[int, ...]] = field(repr=False, compare=False)
+    # the allowed-edge table the walk runs on, as `_walk` takes it
+    _options: EdgeTable = field(repr=False, compare=False)
+    # walk side: (class key -> class size, class key -> first assignment);
+    # search side: None
+    _table: tuple[dict[int, int], dict[int, tuple[int, ...]]] | None = field(
+        repr=False, compare=False
+    )
+    # search side: the witness's assignment, or None when no class is a singleton
+    _searched: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     @property
     def has_acyclic(self) -> bool:
-        return 1 in self._sizes.values()
+        if self._table is None:
+            return self._searched is not None
+        return 1 in self._table[0].values()
 
     def _decode(self, key: int) -> MultiplicityVector:
         """The multiplicity vector a class key encodes."""
@@ -209,17 +239,21 @@ class AcyclicityReport:
     @cached_property
     def classes(self) -> tuple[tuple[MultiplicityVector, int, Matching], ...]:
         """(vector, size, first matching) per class, sorted by vector."""
+        sizes, first = self._table or _walk(self._options, self._sums)
         # vectors are unique, so the sort never compares the Matchings
         return tuple(sorted(
-            (self._decode(key), size, Matching(self.pair, self._first[key]))
-            for key, size in self._sizes.items()
+            (self._decode(key), size, Matching(self.pair, first[key]))
+            for key, size in sizes.items()
         ))
 
     @cached_property
     def acyclic_witness(self) -> Matching | None:
         """The first matching of the singleton class with the lex-least
         vector, or None."""
-        singletons = [key for key, size in self._sizes.items() if size == 1]
+        if self._table is None:
+            return self._searched and Matching(self.pair, self._searched)
+        sizes, first = self._table
+        singletons = [key for key, size in sizes.items() if size == 1]
         if not singletons:
             return None
         # Vectors compare entry by entry from the smallest sum, so at the
@@ -237,7 +271,7 @@ class AcyclicityReport:
             least = min(count for count in counts if count)
             keys = [key for key, count in zip(keys, counts) if count == least]
             shift += width
-        return Matching(self.pair, self._first[keys[0]])
+        return Matching(self.pair, first[keys[0]])
 
 
 def acyclicity_report(
@@ -248,30 +282,40 @@ def acyclicity_report(
     vector; the witness is the first matching of the singleton class with
     the lex-least vector.
 
-    A matching's class key is the sum of `1 << width * r` over its pairs
-    (a, b), where r is the rank of a + b among the pair's distinct allowed
-    sums and width is `k.bit_length()`.  A count never exceeds k <
-    2**width, so no digit carries: the key encodes the multiplicity vector
-    and is determined by it.  The walk backtracks over the first ceil(k/2)
-    elements of A in the order of `enumerate_matchings` (A ascending, each
-    partner tried in ascending order of B), keeping the used elements of B
-    as a bitmask.  The completions of the other elements depend only on the
-    set of B left.  The first time a prefix leaves a set, its completions
-    are walked once and kept as key part -> (count, first completion); a
-    set no prefix leaves is never walked.  Each prefix adds its key to the
-    parts, so sizes and first matchings come out as one walk over whole
-    matchings in assignment order gives them.  The report keeps the class
-    table; vectors and `Matching`s are built only when `classes` or
-    `acyclic_witness` is first read.
+    The report first builds the table of allowed (partner, sum) choices per
+    element of A and multiplies the row degrees, a bound on the number of
+    matchings.  Up to `WALK_DEGREE_PRODUCT` it walks every matching
+    (`_walk`).  Beyond it, it counts the matchings by a DP over the bitmask
+    of used elements of B and searches the classes in lex order of their
+    vectors for the first singleton (`_search`), which is the witness; if
+    the search creates more than `total_matchings // SEARCH_BUDGET_DIVISOR`
+    states, the walk runs instead.  Either way the answers are the same, and
+    on the search side `classes` runs the walk the first time it is read.
     """
     if pair.size > bound:
         raise BoundExceededError(f"|A| = {pair.size} exceeds enumeration bound {bound}")
+    options, sums, product = _edge_table(pair)
+    if product > WALK_DEGREE_PRODUCT:
+        total = _count_matchings(options)
+        try:
+            witness = _search(options, sums, total // SEARCH_BUDGET_DIVISOR) if total else None
+        except _SearchBudgetExceeded:
+            pass
+        else:
+            return AcyclicityReport(pair, total, sums, options, None, witness)
+    table = _walk(options, sums)
+    return AcyclicityReport(pair, sum(table[0].values()), sums, options, table)
+
+
+def _edge_table(pair: SubsetPair) -> tuple[EdgeTable, tuple[int, ...], int]:
+    """(options, sums, product): the pair's allowed edges, its distinct
+    allowed sums in ascending order, and the product of the row degrees,
+    which bounds the number of matchings."""
     g = pair.group
     a_set = frozenset(pair.a)
-    # options[i] = (b, bit of b, a_i + b) for each partner b the i-th
-    # element of A may take
     options = []
     allowed_sums = set()
+    product = 1
     for a in pair.a:
         row = []
         for j, b in enumerate(pair.b):
@@ -280,8 +324,48 @@ def acyclicity_report(
                 row.append((b, 1 << j, s))
                 allowed_sums.add(s)
         options.append(row)
-    k = pair.size
-    sums = tuple(sorted(allowed_sums))
+        product *= len(row)
+    return options, tuple(sorted(allowed_sums)), product
+
+
+def _count_matchings(options: EdgeTable) -> int:
+    """Number of matchings, by a DP over the bitmask of used elements of B.
+
+    The count does not depend on the order of the rows; taking the rows
+    with fewest partners first keeps fewer bitmasks alive.
+    """
+    ways = {0: 1}
+    for bits in sorted(([bit for _, bit, _ in row] for row in options), key=len):
+        nxt: dict[int, int] = {}
+        for used, count in ways.items():
+            for bit in bits:
+                if not used & bit:
+                    nxt[used | bit] = nxt.get(used | bit, 0) + count
+        ways = nxt
+    return sum(ways.values())
+
+
+def _walk(
+    options: EdgeTable, sums: tuple[int, ...]
+) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
+    """Every matching's class, walked: (class key -> class size, class key
+    -> first assignment).
+
+    A matching's class key is the sum of `1 << width * r` over its pairs
+    (a, b), where r is the rank of a + b in `sums` and width is
+    `k.bit_length()`.  A count never exceeds k < 2**width, so no digit
+    carries: the key encodes the multiplicity vector and is determined by
+    it.  The walk backtracks over the first ceil(k/2) elements of A in the
+    order of `enumerate_matchings` (A ascending, each partner tried in
+    ascending order of B), keeping the used elements of B as a bitmask.  The
+    completions of the other elements depend only on the set of B left.  The
+    first time a prefix leaves a set, its completions are walked once and
+    kept as key part -> (count, first completion); a set no prefix leaves is
+    never walked.  Each prefix adds its key to the parts, so sizes and first
+    matchings come out as one walk over whole matchings in assignment order
+    gives them.
+    """
+    k = len(options)
     width = k.bit_length()
     # digit_of[s] = 1 << width * (rank of s); a loop, as a comprehension
     # costs a call on every report, and tiny pairs are the most common
@@ -351,7 +435,101 @@ def acyclicity_report(
     # head and tail refer to themselves; dropping the names frees the
     # tables by refcount rather than leaving them to the cyclic collector
     del head, tail
-    return AcyclicityReport(pair, sum(sizes.values()), sums, sizes, first)
+    return sizes, first
+
+
+class _SearchBudgetExceeded(Exception):
+    """The witness search created more states than its budget allows."""
+
+
+def _search(
+    options: EdgeTable, sums: tuple[int, ...], budget: int
+) -> tuple[int, ...] | None:
+    """The assignment of the singleton class with the lex-least vector, or
+    None when no class is a singleton.
+
+    Vectors compare entry by entry from the smallest sum, so at the lowest
+    sum where two differ a nonzero count beats 0 and a smaller count beats a
+    larger one.  The search therefore fixes the count of each distinct sum
+    in ascending order, trying 1, 2, ... and then 0, and descends depth
+    first.  A node holds the partial matchings that give its counts, merged
+    by (A left, B left) as bitmasks, each state with its number of partial
+    matchings and one of them.  Edges with one sum share no element, so the
+    partial matchings a count c adds are the c-subsets of the state's edges
+    at that sum with both ends left.  A state is dropped once an element of
+    A left has no partner left at a larger sum.  After the largest sum only
+    the state with nothing left survives, and its count is the class size:
+    the first count of 1 is the witness.  Raises `_SearchBudgetExceeded`
+    before creating more than `budget` states.
+    """
+    k = len(options)
+    rank = {s: r for r, s in enumerate(sums)}
+    # edges[r] = (bit of a_i, bit of b, edge number) per allowed pair with
+    # sum sums[r]; picks[edge number] = (i, b)
+    edges: list[list[tuple[int, int, int]]] = [[] for _ in sums]
+    picks = []
+    for i, row in enumerate(options):
+        for b, bit, s in row:
+            edges[rank[s]].append((1 << i, bit, len(picks)))
+            picks.append((i, b))
+    # later[r] = (bit of a_i, bitmask of a_i's partners at sums above sums[r])
+    later = [None] * len(sums)
+    above = [0] * k
+    for r in reversed(range(len(sums))):
+        later[r] = [(1 << i, mask) for i, mask in enumerate(above)]
+        for _, b_bit, e in edges[r]:
+            above[picks[e][0]] |= b_bit
+    created = 0
+
+    def descend(r, states):
+        nonlocal created
+        last = r == len(sums) - 1
+        later_r = later[r]
+        # each state with the edges at sums[r] it can still take
+        free = []
+        for (left_a, left_b), (ways, picked) in states.items():
+            avail = [e for e in edges[r] if left_a & e[0] and left_b & e[1]]
+            free.append((left_a, left_b, ways, picked, avail))
+        most = max(len(avail) for *_, avail in free)
+        for c in (*range(1, most + 1), 0):
+            created += sum(math.comb(len(avail), c) for *_, avail in free)
+            if created > budget:
+                raise _SearchBudgetExceeded
+            merged: dict[tuple[int, int], list] = {}
+            for left_a, left_b, ways, picked, avail in free:
+                for combo in itertools.combinations(avail, c):
+                    ra, rb, p = left_a, left_b, picked
+                    for a_bit, b_bit, e in combo:
+                        ra ^= a_bit
+                        rb ^= b_bit
+                        p |= 1 << e
+                    if any(ra & a_bit and not rb & mask for a_bit, mask in later_r):
+                        continue
+                    entry = merged.get((ra, rb))
+                    if entry is None:
+                        merged[ra, rb] = [ways, p]
+                    else:
+                        entry[0] += ways
+            if not merged:
+                continue
+            if not last:
+                found = descend(r + 1, merged)
+                if found is not None:
+                    return found
+            elif merged[0, 0][0] == 1:
+                return merged[0, 0][1]
+        return None
+
+    picked = descend(0, {((1 << k) - 1, (1 << k) - 1): [1, 0]})
+    if picked is None:
+        return None
+    assignment = [0] * k
+    while picked:
+        low = picked & -picked
+        i, b = picks[low.bit_length() - 1]
+        assignment[i] = b
+        picked ^= low
+    return tuple(assignment)
 
 
 def iter_valid_pairs(n: int, sizes: tuple[int, ...] | None = None) -> Iterator[SubsetPair]:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import matchlab.matching
 from matchlab.errors import BoundExceededError
 from matchlab.groups import cyclic, integers, units
 from matchlab.matching import (
+    WALK_DEGREE_PRODUCT,
     SubsetPair,
     acyclicity_report,
     enumerate_matchings,
@@ -42,6 +44,40 @@ def reference_report(pair):
     classes = [(key, sizes[key], first[key]) for key in sorted(sizes)]
     witness = next((m for _, size, m in classes if size == 1), None)
     return sum(sizes.values()), classes, witness
+
+
+def degree_product(pair):
+    """Product over A of the number of partners each element may take."""
+    a_set = set(pair.a)
+    return math.prod(sum(pair.group.add(a, b) not in a_set for b in pair.b) for a in pair.a)
+
+
+def count_matchings(pair):
+    """Number of matchings, by a DP over the set of elements of B used."""
+    a_set = set(pair.a)
+    ways = {frozenset(): 1}
+    for a in pair.a:
+        nxt = {}
+        for used, count in ways.items():
+            for b in pair.b:
+                if b not in used and pair.group.add(a, b) not in a_set:
+                    nxt[used | {b}] = nxt.get(used | {b}, 0) + count
+        ways = nxt
+    return sum(ways.values())
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The calls made to the walk over every matching."""
+    calls = []
+    walk = matchlab.matching._walk
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(matchlab.matching, "_walk", counted)
+    return calls
 
 
 def report_summary(pair):
@@ -230,17 +266,48 @@ class TestAcyclicityReport:
                 r = acyclicity_report(pair)
                 assert sum(count for _, count, _ in r.classes) == r.total_matchings
 
-    def test_report_matches_enumeration(self):
-        # |A| runs from 1 (no second half to complete) to 7, odd and even
+    def test_report_matches_enumeration(self, walks):
+        # |A| runs from 1 (no second half to complete) to 7, odd and even;
+        # every pair is walked, as a row of Z/nZ has at most n - k partners
+        pairs = 0
         for n in range(2, 9):
             for pair in iter_valid_pairs(n):
                 assert report_summary(pair) == reference_report(pair)
+                pairs += 1
+        assert len(walks) == pairs
 
-    def test_report_matches_enumeration_on_dense_pairs_in_z(self):
+    @staticmethod
+    def assert_matches_reference(pair, walks):
+        """Check every answer against `reference_report`, the witness both
+        before and after `classes` is read; True when the search answered
+        without walking."""
+        total, classes, witness = reference_report(pair)
+        searched = []
+        for witness_first in (True, False):
+            walks.clear()
+            r = acyclicity_report(pair)
+            searched.append(not walks)
+            assert r.total_matchings == total
+            assert r.has_acyclic == (witness is not None)
+            if witness_first:
+                got = r.acyclic_witness
+            assert [(key, size, m.assignment) for key, size, m in r.classes] == classes
+            if not witness_first:
+                got = r.acyclic_witness
+            assert (got and got.assignment) == witness
+            # on the search side `classes` walks; on the walk side the report did
+            assert len(walks) == 1
+        assert searched[0] == searched[1]
+        return searched[0]
+
+    def test_report_matches_enumeration_on_dense_pairs_in_z(self, walks):
         # pairs with hundreds to thousands of matchings, whose completions
-        # are reused
+        # are reused; every degree product is above the walk's limit, and
+        # the search answers all but the two pairs with 251 and 656
+        # matchings, which exceed their budgets and fall back
         rng = random.Random(8)
         universe = range(-9, 10)
+        searched = 0
         for k in (7, 8, 9):
             for _ in range(5):
                 pair = SubsetPair(
@@ -248,7 +315,54 @@ class TestAcyclicityReport:
                     tuple(rng.sample(universe, k)),
                     tuple(rng.sample([x for x in universe if x != 0], k)),
                 )
-                assert report_summary(pair) == reference_report(pair)
+                assert degree_product(pair) > WALK_DEGREE_PRODUCT
+                searched += self.assert_matches_reference(pair, walks)
+        assert searched == 13
+
+    def test_dense_pair_in_z19_falls_back_to_the_walk(self, walks):
+        # 8 allowed sums shared by 11 elements: the search's c-subsets of
+        # each sum's edges outgrow its budget
+        pair = SubsetPair(
+            cyclic(19),
+            (3, 4, 5, 6, 7, 8, 13, 14, 15, 16, 17),
+            (2, 4, 5, 6, 7, 9, 13, 14, 15, 17, 18),
+        )
+        assert degree_product(pair) > WALK_DEGREE_PRODUCT
+        assert not self.assert_matches_reference(pair, walks)
+
+    def test_search_exhausts_when_no_class_is_a_singleton(self, walks):
+        # Z/7Z's counterexample (0, 1, 3) -> (1, 2, 4) beside Z/7Z x {1} on
+        # both sides, in Z/14Z = Z/7Z x Z/2Z: no edge joins the two parts, so
+        # every class is built on the first part's one class, of size 2.
+        # Listing every class costs the search 13,610 states against a
+        # budget of 288 // 16, so the report falls back to the walk; without
+        # a budget the search runs out of classes
+        pair = SubsetPair(
+            cyclic(14), (0, 1, 3, 5, 7, 8, 9, 10, 11, 13), (1, 2, 3, 4, 5, 7, 8, 9, 11, 13)
+        )
+        assert degree_product(pair) > WALK_DEGREE_PRODUCT
+        assert not self.assert_matches_reference(pair, walks)
+        options, sums, _ = matchlab.matching._edge_table(pair)
+        assert matchlab.matching._search(options, sums, 10**6) is None
+
+    def test_count_answers_a_pair_without_matchings(self, walks):
+        # above the walk's limit, but the count finds no matching, so the
+        # report neither searches nor walks
+        pair = SubsetPair(cyclic(14), (1, 3, 5, 7, 8, 9, 11, 13), (2, 3, 4, 6, 7, 9, 12, 13))
+        assert degree_product(pair) > WALK_DEGREE_PRODUCT
+        assert self.assert_matches_reference(pair, walks)
+
+    def test_search_answers_a_pair_the_walk_cannot_finish(self):
+        # 228,732,066 matchings: the walk would visit every one of them
+        pair = SubsetPair(
+            integers(),
+            (-12, -11, -10, -9, -8, -7, -4, -2, 4, 5, 6, 9, 11, 12),
+            (-11, -9, -7, -5, -4, -1, 1, 2, 3, 5, 7, 8, 10, 12),
+        )
+        r = acyclicity_report(pair)
+        assert r.total_matchings == count_matchings(pair)
+        assert r.has_acyclic
+        assert is_matching(pair, r.acyclic_witness.assignment)
 
     def test_single_matching_at_size_20(self):
         # a + f(a) must leave A = {0..19}, so f(a) = 20 - a is the only
