@@ -54,6 +54,19 @@ def _parse_elements(raw: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {raw!r}")
 
 
+def _join_element_lists(argv: list[str]) -> list[str]:
+    """`argv` with each `--a` or `--b` joined by `=` to a following element
+    list that starts with a negative number, which argparse would otherwise
+    read as an option."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in ("--a", "--b") and arg[:1] == "-" and arg[1:2].isdigit():
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def _parse_group(raw: str) -> str | int:
     """The group argument: "Z" for the integers, else the order n of Z/nZ."""
     if raw.upper() == "Z":
@@ -355,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_element_lists(sys.argv[1:] if argv is None else argv))
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig.from_env()
         overrides = {

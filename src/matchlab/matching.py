@@ -18,8 +18,10 @@ are walked once per such set the first time a prefix leaves it.  It keeps
 the class table: `has_acyclic` reads the class sizes alone, while the sorted
 classes and the witness are decoded from the keys on first read.  Beyond
 that product it counts the matchings by a DP over the used elements of B,
-then searches the classes in lex order of their vectors and stops at the
-first singleton, the witness; a search that creates more than
+kept in one packed int while it fits in `PACKED_COUNT_BITS` bits (|A| <= 12)
+and in a dict beyond, then searches the classes in lex order of their
+vectors, passing over sums no state has an edge at, and stops at the first
+singleton, the witness; a search that creates more than
 `total_matchings // SEARCH_BUDGET_DIVISOR` states gives way to the walk, and
 on the search side the classes are walked when first read.
 `enumerate_matchings` with `multiplicity` is the independent reference
@@ -49,6 +51,9 @@ WALK_DEGREE_PRODUCT = 2**12
 # The search falls back to the walk once it has created more than
 # total_matchings // SEARCH_BUDGET_DIVISOR states.
 SEARCH_BUDGET_DIVISOR = 16
+# The count keeps its whole DP vector in one int of at most this many bits,
+# |A| <= 12; larger pairs count in a dict of bitmasks.
+PACKED_COUNT_BITS = 2**17
 
 # entries: ((element, count), ...) sorted by element; counts sum to |A|
 MultiplicityVector = tuple[tuple[int, int], ...]
@@ -331,9 +336,34 @@ def _edge_table(pair: SubsetPair) -> tuple[EdgeTable, tuple[int, ...], int]:
 def _count_matchings(options: EdgeTable) -> int:
     """Number of matchings, by a DP over the bitmask of used elements of B.
 
-    The count does not depend on the order of the rows; taking the rows
-    with fewest partners first keeps fewer bitmasks alive.
+    While the whole DP vector fits in `PACKED_COUNT_BITS` bits (|A| <= 12),
+    it is one int: field m, W = `(k!).bit_length() + 1` bits wide, holds the
+    number of partial matchings onto the set m of B.  A row step adds
+    `(ways & lacks[j]) << (W << j)` per partner bit j of the row, where
+    `lacks[j]` has ones in every field whose set lacks j; after i rows a
+    field is at most i!, so no field carries.  The answer is the field of
+    the full set.  Larger pairs run the DP in a dict of bitmasks; the count
+    does not depend on the order of the rows, and taking the rows with
+    fewest partners first keeps fewer bitmasks alive.
     """
+    k = len(options)
+    width = math.factorial(k).bit_length() + 1
+    if width << k <= PACKED_COUNT_BITS:
+        # lacks[j] repeats 2**j fields of ones and 2**j fields of zeros
+        lacks = []
+        for j in range(k):
+            mask = (1 << (width << j)) - 1
+            for t in range(j + 1, k):
+                mask |= mask << (width << t)
+            lacks.append(mask)
+        ways = 1
+        for row in options:
+            nxt = 0
+            for _, bit, _ in row:
+                j = bit.bit_length() - 1
+                nxt += (ways & lacks[j]) << (width << j)
+            ways = nxt
+        return ways >> ((width << k) - width)
     ways = {0: 1}
     for bits in sorted(([bit for _, bit, _ in row] for row in options), key=len):
         nxt: dict[int, int] = {}
@@ -457,10 +487,12 @@ def _search(
     matchings and one of them.  Edges with one sum share no element, so the
     partial matchings a count c adds are the c-subsets of the state's edges
     at that sum with both ends left.  A state is dropped once an element of
-    A left has no partner left at a larger sum.  After the largest sum only
-    the state with nothing left survives, and its count is the class size:
-    the first count of 1 is the witness.  Raises `_SearchBudgetExceeded`
-    before creating more than `budget` states.
+    A left has no partner left at a larger sum.  A sum at which no state has
+    an edge left allows only count 0 and drops no state, so the search
+    passes over it without forming subsets.  After the largest sum only the
+    state with nothing left survives, and its count is the class size: the
+    first count of 1 is the witness.  Raises `_SearchBudgetExceeded` before
+    creating more than `budget` states.
     """
     k = len(options)
     rank = {s: r for r, s in enumerate(sums)}
@@ -483,13 +515,27 @@ def _search(
 
     def descend(r, states):
         nonlocal created
+        while True:
+            # each state with the edges at sums[r] it can still take
+            free = []
+            for (left_a, left_b), (ways, picked) in states.items():
+                avail = [e for e in edges[r] if left_a & e[0] and left_b & e[1]]
+                free.append((left_a, left_b, ways, picked, avail))
+            if any(avail for *_, avail in free):
+                break
+            # Count 0 only.  Each state passed the drop test against its
+            # partners at this sum and above, and has none at this sum, so
+            # it is kept as it is.
+            created += len(states)
+            if created > budget:
+                raise _SearchBudgetExceeded
+            if r == len(sums) - 1:
+                # only the state with nothing left gets here
+                ways, picked = states[0, 0]
+                return picked if ways == 1 else None
+            r += 1
         last = r == len(sums) - 1
         later_r = later[r]
-        # each state with the edges at sums[r] it can still take
-        free = []
-        for (left_a, left_b), (ways, picked) in states.items():
-            avail = [e for e in edges[r] if left_a & e[0] and left_b & e[1]]
-            free.append((left_a, left_b, ways, picked, avail))
         most = max(len(avail) for *_, avail in free)
         for c in (*range(1, most + 1), 0):
             created += sum(math.comb(len(avail), c) for *_, avail in free)

@@ -124,6 +124,14 @@ class TestEnumerateCommand:
         assert code == 0
         assert json.loads(out)["total_matchings"] == 2
 
+    def test_element_lists_may_start_with_a_negative_number(self, capsys):
+        a, b = "-9,-5,-3,0,2,4,7,8", "-8,-6,-2,1,3,5,6,9"
+        spaced = run(["enumerate", "Z", "--a", a, "--b", b], capsys)
+        joined = run(["enumerate", "Z", f"--a={a}", f"--b={b}"], capsys)
+        assert spaced[0] == joined[0] == 0
+        assert spaced[1] == joined[1]
+        assert "matchings: 3779" in spaced[1]
+
     def test_invalid_pair_is_usage_error(self, capsys):
         code, _, err = run(["enumerate", "7", "--a", "1,2", "--b", "0,1"], capsys)
         assert code == 2

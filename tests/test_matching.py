@@ -9,6 +9,7 @@ import matchlab.matching
 from matchlab.errors import BoundExceededError
 from matchlab.groups import cyclic, integers, units
 from matchlab.matching import (
+    PACKED_COUNT_BITS,
     WALK_DEGREE_PRODUCT,
     SubsetPair,
     acyclicity_report,
@@ -23,9 +24,9 @@ from matchlab.matching import (
 
 
 @st.composite
-def integer_pairs(draw, max_size=4):
+def integer_pairs(draw, max_size=4, span=6):
     k = draw(st.integers(min_value=1, max_value=max_size))
-    universe = list(range(-6, 7))
+    universe = list(range(-span, span + 1))
     a = draw(st.sets(st.sampled_from(universe), min_size=k, max_size=k))
     b = draw(
         st.sets(st.sampled_from([x for x in universe if x != 0]), min_size=k, max_size=k)
@@ -232,6 +233,26 @@ class TestMatchingExists:
                 assert matching_exists(pair) == has
 
 
+class TestCountMatchings:
+    @staticmethod
+    def count(pair):
+        return matchlab.matching._count_matchings(matchlab.matching._edge_table(pair)[0])
+
+    @pytest.mark.parametrize("k, packed", [(9, True), (12, True), (13, False)])
+    def test_complete_pair_has_k_factorial_matchings(self, k, packed):
+        # every sum lies in [100, 100 + 2k - 2], outside A, so every
+        # bijection is a matching; 12 is the largest size counted in one
+        # packed int, 13 counts in a dict
+        assert ((math.factorial(k).bit_length() + 1) << k <= PACKED_COUNT_BITS) == packed
+        pair = SubsetPair(integers(), tuple(range(k)), tuple(range(100, 100 + k)))
+        assert self.count(pair) == math.factorial(k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(integer_pairs(max_size=13, span=13))
+    def test_count_matches_reference_dp(self, pair):
+        assert self.count(pair) == count_matchings(pair)
+
+
 class TestAcyclicityReport:
     def test_z7_standard_pair_no_witness(self):
         r = acyclicity_report(complement_pair(7, (0, 1, 3), (0, 1, 2)))
@@ -275,6 +296,11 @@ class TestAcyclicityReport:
                 assert report_summary(pair) == reference_report(pair)
                 pairs += 1
         assert len(walks) == pairs
+
+    def test_every_pair_of_z10_is_walked(self):
+        # an exhaustive sweep of Z/10Z never reaches the count or the
+        # search, whatever changes there; the largest product is 3,125
+        assert all(degree_product(pair) <= WALK_DEGREE_PRODUCT for pair in iter_valid_pairs(10))
 
     @staticmethod
     def assert_matches_reference(pair, walks):
@@ -366,8 +392,10 @@ class TestAcyclicityReport:
 
     def test_single_matching_at_size_20(self):
         # a + f(a) must leave A = {0..19}, so f(a) = 20 - a is the only
-        # matching; completions are walked only for the sets of B that a
-        # prefix leaves, which here is one set
+        # matching.  The degree product is 20!, so the pair is counted (in a
+        # dict) and searched with budget 1 // 16 = 0, which the search's
+        # first count exceeds.  It falls back to the walk, which walks
+        # completions only for the sets of B that a prefix leaves, here one
         pair = SubsetPair(integers(), tuple(range(20)), tuple(range(1, 21)))
         r = acyclicity_report(pair)
         assert r.total_matchings == 1
