@@ -5,7 +5,7 @@ Outputs (under --out-dir, default ./artifacts):
   report_1_8.json            classification table for Z/nZ, n = 1..8
   cert_coprime6_n<k>.json    failure certificates for n coprime to 6, 7..35
   cert_nonprime_n<k>.json    subgroup counterexamples for composite n, 4..16
-  integers_spot_check.json   seeded torsion-free sampling evidence
+  integers_spot_check.json   torsion-free sampling evidence (fixed seed and count)
 """
 
 import argparse
@@ -16,8 +16,6 @@ import time
 from pathlib import Path
 
 from matchlab.certify import (
-    DEFAULT_SAMPLE_COUNT,
-    DEFAULT_SEED,
     certify_coprime6,
     classify,
     nonprime_counterexample,
@@ -37,8 +35,6 @@ def require_verified(cert, what: str):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="artifacts")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT)
     args = parser.parse_args()
 
     out = Path(args.out_dir)
@@ -73,7 +69,7 @@ def main():
         )
         print(f"nonprime n={n}: pair {cert.evidence['pair']}")
 
-    spot = spot_check_integers(seed=args.seed, count=args.samples)
+    spot = spot_check_integers()
     (out / "integers_spot_check.json").write_text(json.dumps(spot, indent=2, sort_keys=True))
     print(f"integers spot check: {spot['samples']} samples, {len(spot['failures'])} failures")
 

@@ -8,7 +8,6 @@ from .certify import (
     nonprime_counterexample,
     spot_check_integers,
 )
-from .config import RunConfig
 from .errors import (
     BoundExceededError,
     MatchlabError,

@@ -7,14 +7,19 @@ Three claim families:
   n = 6k+5) has every multiplicity class of size >= 2, so no acyclic
   matching exists.
 * ``nonprime_failure``: for composite n, A = <a> and B = (<a> u {x}) \\ {0}
-  admit no matching at all.
+  admit no matching at all: augmenting paths find none, and the
+  neighbourhood N(A) of A in B is {x}, smaller than A (Hall's condition
+  fails).
 * ``classification``: the overall verdict for a group descriptor - the
   acyclic matching property holds exactly for Z, Z/2, Z/3, Z/5 (and
   vacuously for the trivial group).
 
 Certificates carry enough evidence to re-verify without re-running the
 original search, and ``verified`` is set only after re-checking the evidence
-against the enumeration and generating-function primitives.
+by two independent routes.  Nothing here takes a setting: enumeration stops at
+``matching.ENUMERATION_BOUND`` elements of A, exhaustive checks at
+``matching.DEFAULT_EXHAUSTIVE_BOUND``, and the integers are sampled with a
+fixed seed and count.
 """
 
 from __future__ import annotations
@@ -34,8 +39,6 @@ from .genfun import (
 )
 from .groups import cyclic, integers, subgroup_generated
 from .matching import (
-    DEFAULT_ENUMERATION_BOUND,
-    DEFAULT_EXHAUSTIVE_BOUND,
     SubsetPair,
     acyclicity_report,
     matching_exists,
@@ -48,8 +51,8 @@ CERTIFICATE_SCHEMA_VERSION = 1
 # group order; past it the closed form alone carries the certificate.
 ENUMERATION_CROSSCHECK_MAX_N = 14
 
-DEFAULT_SAMPLE_COUNT = 500
-DEFAULT_SEED = 20240601
+SAMPLE_COUNT = 500
+SAMPLE_SEED = 20240601
 SAMPLE_MAX_SIZE = 5
 SAMPLE_SPAN = 6
 
@@ -87,9 +90,7 @@ def _case1_modular_obstruction(n: int) -> dict[str, Any]:
     }
 
 
-def certify_coprime6(
-    n: int, enumeration_bound: int = DEFAULT_ENUMERATION_BOUND
-) -> Certificate:
+def certify_coprime6(n: int) -> Certificate:
     """Certificate that Z/nZ (n > 5, coprime to 6) lacks the acyclic
     matching property, witnessed by the standard pair.
 
@@ -130,15 +131,15 @@ def certify_coprime6(
             obstruction["w0_zero_impossible"] and obstruction["w1_zero_impossible"]
         )
 
-    if n - 3 <= enumeration_bound and n <= ENUMERATION_CROSSCHECK_MAX_N:
-        report = acyclicity_report(standard_pair(n, m), enumeration_bound)
+    if n <= ENUMERATION_CROSSCHECK_MAX_N:
+        report = acyclicity_report(standard_pair(n, m))
         evidence["enumeration"] = {
             "total_matchings": report.total_matchings,
             "class_sizes": [count for _, count, _ in report.classes],
         }
         checks["no_singleton_class"] = not report.has_acyclic
         checks["count_matches_genfun"] = report.total_matchings == poly.total()
-        checks["matches_brute_genfun"] = brute_genfun(n, m, enumeration_bound) == poly
+        checks["matches_brute_genfun"] = brute_genfun(n, m) == poly
     else:
         evidence["enumeration"] = None
 
@@ -151,12 +152,12 @@ def certify_coprime6(
     return Certificate("coprime6_failure", f"Z/{n}Z", verified, evidence)
 
 
-def nonprime_counterexample(
-    n: int, enumeration_bound: int = DEFAULT_ENUMERATION_BOUND
-) -> Certificate:
+def nonprime_counterexample(n: int) -> Certificate:
     """Certificate that for composite n, A = <a> and B = (<a> u {x}) \\ {0}
     admit no matching at all (a = smallest prime divisor of n, x = smallest
-    element outside <a>)."""
+    element outside <a>).  The evidence carries the neighbourhood
+    N(A) = {b in B : y + b not in A for some y in A}, which is smaller than
+    A."""
     if n <= 1:
         raise ValueError(f"need composite n > 1, got {n}")
     a = next((d for d in range(2, n) if n % d == 0), None)
@@ -171,35 +172,33 @@ def nonprime_counterexample(
     pair = SubsetPair(g, a_set, b_set)
 
     no_matching = not matching_exists(pair)
-    # independent route: full enumeration yields nothing
-    enum_empty = True
-    if pair.size <= enumeration_bound:
-        enum_empty = acyclicity_report(pair, enumeration_bound).total_matchings == 0
+    # independent route: Hall's condition fails, |N(A)| < |A|
+    neighbourhood = sorted({b for y in a_set for b in b_set if g.add(y, b) not in sub_set})
+    hall_violated = len(neighbourhood) < len(a_set)
 
     evidence = {
         "n": n,
         "generator": a,
         "extra_element": x,
         "pair": {"a": list(a_set), "b": list(b_set)},
+        "neighbourhood": neighbourhood,
         "checks": {
             "no_matching_augmenting_paths": no_matching,
-            "no_matching_enumeration": enum_empty,
+            "hall_violation": hall_violated,
         },
     }
     return Certificate(
-        "nonprime_failure", f"Z/{n}Z", no_matching and enum_empty, evidence
+        "nonprime_failure", f"Z/{n}Z", no_matching and hall_violated, evidence
     )
 
 
-def failure_certificate(
-    n: int, enumeration_bound: int = DEFAULT_ENUMERATION_BOUND
-) -> Certificate:
+def failure_certificate(n: int) -> Certificate:
     """Failure certificate for Z/nZ: the subgroup counterexample for
     composite n, the standard-pair certificate otherwise.  Raises
     ValueError when neither applies (n <= 5 and not composite)."""
     if any(n % d == 0 for d in range(2, n)):
-        return nonprime_counterexample(n, enumeration_bound)
-    return certify_coprime6(n, enumeration_bound)
+        return nonprime_counterexample(n)
+    return certify_coprime6(n)
 
 
 def sample_integer_pairs(rng: random.Random, count: int) -> list[SubsetPair]:
@@ -218,35 +217,24 @@ def sample_integer_pairs(rng: random.Random, count: int) -> list[SubsetPair]:
     return pairs
 
 
-def spot_check_integers(
-    seed: int = DEFAULT_SEED,
-    count: int = DEFAULT_SAMPLE_COUNT,
-    enumeration_bound: int = DEFAULT_ENUMERATION_BOUND,
-) -> dict[str, Any]:
+def spot_check_integers() -> dict[str, Any]:
     """Sampled evidence that finite subsets of Z are always acyclically
-    matched (torsion-free behavior at desk scale)."""
-    rng = random.Random(seed)
+    matched (torsion-free behavior at desk scale): SAMPLE_COUNT pairs drawn
+    with SAMPLE_SEED."""
     failures = []
-    for pair in sample_integer_pairs(rng, count):
-        if not acyclicity_report(pair, enumeration_bound).has_acyclic:
+    for pair in sample_integer_pairs(random.Random(SAMPLE_SEED), SAMPLE_COUNT):
+        if not acyclicity_report(pair).has_acyclic:
             failures.append({"a": list(pair.a), "b": list(pair.b)})
     return {
-        "seed": seed,
-        "samples": count,
+        "seed": SAMPLE_SEED,
+        "samples": SAMPLE_COUNT,
         "max_size": SAMPLE_MAX_SIZE,
         "element_span": SAMPLE_SPAN,
         "failures": failures,
     }
 
 
-def classify(
-    descriptor: str | int,
-    exhaustive_bound: int = DEFAULT_EXHAUSTIVE_BOUND,
-    enumeration_bound: int = DEFAULT_ENUMERATION_BOUND,
-    use_symmetry: bool = True,
-    seed: int = DEFAULT_SEED,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
-) -> Certificate:
+def classify(descriptor: str | int) -> Certificate:
     """Classification verdict: the acyclic matching property holds exactly
     for the integers and for Z/pZ with p in {2, 3, 5}.
 
@@ -255,9 +243,7 @@ def classify(
     negative cases carry coprime6 or subgroup evidence.
     """
     if isinstance(descriptor, str) and descriptor.upper() == "Z":
-        evidence = {"method": "torsion_free_sampled", **spot_check_integers(
-            seed, sample_count, enumeration_bound
-        )}
+        evidence = {"method": "torsion_free_sampled", **spot_check_integers()}
         ok = not evidence["failures"]
         return Certificate(
             "classification",
@@ -280,7 +266,7 @@ def classify(
             {"holds": True, "vacuous": True, "method": "no_valid_pairs"},
         )
     if n in (2, 3, 5):
-        result = verify_group_amp(g, use_symmetry, exhaustive_bound, enumeration_bound)
+        result = verify_group_amp(g)
         return Certificate(
             "classification",
             f"Z/{n}Z",
@@ -289,11 +275,11 @@ def classify(
                 "holds": result.holds,
                 "method": "exhaustive",
                 "pairs_checked": result.pairs_checked,
-                "symmetry_reduction": use_symmetry,
+                "symmetry_reduction": True,
             },
         )
     # n = 4 or n > 5: the property fails
-    inner = failure_certificate(n, enumeration_bound)
+    inner = failure_certificate(n)
     if not inner.verified:
         raise VerificationFailure(
             f"evidence for Z/{n}Z failed to verify: {inner.to_json_dict()}"

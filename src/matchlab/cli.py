@@ -2,10 +2,16 @@
 
 Verbs: classify, verify-amp, enumerate, genfun, certify, report.
 
+Global options are --format and --out.  The only bound a user sets is
+verify-amp's --bound on the group order; the enumeration bound, the
+exhaustive bound of classify and report, the symmetry reduction and the
+integer sample's seed and count are module constants.
+
 Exit codes: 0 success, 1 verification failure (a claim failed to re-verify;
-diagnostic dump emitted), 2 usage error, 3 resource bound exceeded.
-Reports are byte-identical for identical config and inputs; wall time lives
-in a separate metadata block, never in data rows.
+diagnostic dump emitted), 2 usage error, 3 resource bound exceeded (|A| past
+the enumeration bound in enumerate and genfun --method brute, or a group
+order past verify-amp's --bound).  Reports are byte-identical for identical
+inputs; wall time lives in a separate metadata block, never in data rows.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ import sys
 import time
 
 from .certify import classify, failure_certificate
-from .config import CONFIG_ENV_VAR, OUTPUT_FORMATS, RunConfig
 from .errors import (
     BoundExceededError,
     MatchlabError,
@@ -26,7 +31,12 @@ from .errors import (
 )
 from .genfun import genfun_by_method
 from .groups import cyclic, integers
-from .matching import SubsetPair, acyclicity_report, verify_group_amp
+from .matching import (
+    DEFAULT_EXHAUSTIVE_BOUND,
+    SubsetPair,
+    acyclicity_report,
+    verify_group_amp,
+)
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -34,15 +44,15 @@ EXIT_USAGE = 2
 EXIT_BOUND = 3
 
 
-def _emit(text: str, cfg: RunConfig):
-    if cfg.output_path:
+def _emit(text: str, path: str | None):
+    if path:
         try:
-            with open(cfg.output_path, "w") as fh:
+            with open(path, "w") as fh:
                 fh.write(text)
                 if not text.endswith("\n"):
                     fh.write("\n")
         except OSError as exc:
-            raise MatchlabError(f"cannot write {cfg.output_path}: {exc}") from exc
+            raise MatchlabError(f"cannot write {path}: {exc}") from exc
     else:
         print(text)
 
@@ -77,16 +87,10 @@ def _parse_group(raw: str) -> str | int:
         raise ValueError(f"group must be a positive integer or Z, got {raw!r}") from None
 
 
-def cmd_classify(args, cfg: RunConfig) -> int:
-    cert = classify(
-        _parse_group(args.group),
-        exhaustive_bound=cfg.exhaustive_group_bound,
-        enumeration_bound=cfg.enumeration_bound,
-        use_symmetry=cfg.symmetry_reduction,
-        seed=cfg.seed,
-    )
-    if cfg.output_format == "json":
-        _emit(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True), cfg)
+def cmd_classify(args) -> int:
+    cert = classify(_parse_group(args.group))
+    if args.format == "json":
+        _emit(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True), args.out)
     else:
         holds = cert.evidence.get("holds")
         if holds:
@@ -99,17 +103,14 @@ def cmd_classify(args, cfg: RunConfig) -> int:
                 line = f"holds ({detail})"
         else:
             line = f"fails ({cert.evidence.get('method', '')})"
-        _emit(f"{cert.descriptor}: {line}", cfg)
+        _emit(f"{cert.descriptor}: {line}", args.out)
     return EXIT_OK if cert.verified else EXIT_VERIFICATION_FAILURE
 
 
-def cmd_verify_amp(args, cfg: RunConfig) -> int:
-    result = verify_group_amp(
-        cyclic(args.n),
-        use_symmetry=cfg.symmetry_reduction,
-        exhaustive_bound=cfg.exhaustive_group_bound,
-        enumeration_bound=cfg.enumeration_bound,
-    )
+def cmd_verify_amp(args) -> int:
+    if args.bound < 1:
+        raise ValueError(f"--bound must be positive, got {args.bound}")
+    result = verify_group_amp(cyclic(args.n), exhaustive_bound=args.bound)
     payload = {
         "group": f"Z/{args.n}Z",
         "holds": result.holds,
@@ -120,25 +121,28 @@ def cmd_verify_amp(args, cfg: RunConfig) -> int:
             else None
         ),
     }
-    if cfg.output_format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True), cfg)
+    if args.format == "json":
+        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     else:
         if result.holds:
-            _emit(f"Z/{args.n}Z: acyclic matching property holds ({result.pairs_checked} pairs)", cfg)
+            _emit(
+                f"Z/{args.n}Z: acyclic matching property holds ({result.pairs_checked} pairs)",
+                args.out,
+            )
         else:
             ce = result.counterexample
             _emit(
                 f"Z/{args.n}Z: fails; first counterexample A={list(ce.a)} B={list(ce.b)}",
-                cfg,
+                args.out,
             )
     return EXIT_OK
 
 
-def cmd_enumerate(args, cfg: RunConfig) -> int:
+def cmd_enumerate(args) -> int:
     descriptor = _parse_group(args.group)
     g = integers() if descriptor == "Z" else cyclic(descriptor)
     pair = SubsetPair(g, args.a, args.b)
-    report = acyclicity_report(pair, cfg.enumeration_bound)
+    report = acyclicity_report(pair)
     payload = {
         "group": g.describe(),
         "a": list(pair.a),
@@ -156,8 +160,8 @@ def cmd_enumerate(args, cfg: RunConfig) -> int:
             list(report.acyclic_witness.assignment) if report.acyclic_witness else None
         ),
     }
-    if cfg.output_format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True), cfg)
+    if args.format == "json":
+        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     else:
         lines = [
             f"{g.describe()} A={list(pair.a)} B={list(pair.b)}",
@@ -169,16 +173,12 @@ def cmd_enumerate(args, cfg: RunConfig) -> int:
         lines.append(
             f"acyclic witness: {list(report.acyclic_witness.assignment) if report.acyclic_witness else 'none'}"
         )
-        _emit("\n".join(lines), cfg)
+        _emit("\n".join(lines), args.out)
     return EXIT_OK
 
 
-def cmd_genfun(args, cfg: RunConfig) -> int:
-    try:
-        poly = genfun_by_method(args.method, args.n, args.m, cfg.enumeration_bound)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_genfun(args) -> int:
+    poly = genfun_by_method(args.method, args.n, args.m)
     agreement = None
     if args.check:
         candidates = ["transfer", "brute"]
@@ -190,7 +190,7 @@ def cmd_genfun(args, cfg: RunConfig) -> int:
                 values[method] = poly
                 continue
             try:
-                values[method] = genfun_by_method(method, args.n, args.m, cfg.enumeration_bound)
+                values[method] = genfun_by_method(method, args.n, args.m)
             except (ValueError, BoundExceededError):
                 continue
         agreement = {
@@ -201,7 +201,7 @@ def cmd_genfun(args, cfg: RunConfig) -> int:
             dump = {m: p.to_text() for m, p in values.items()}
             print(f"error: method disagreement: {json.dumps(dump)}", file=sys.stderr)
             return EXIT_VERIFICATION_FAILURE
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = {
             "n": args.n,
             "m": args.m,
@@ -211,29 +211,23 @@ def cmd_genfun(args, cfg: RunConfig) -> int:
         }
         if agreement is not None:
             payload["check"] = agreement
-        _emit(json.dumps(payload, indent=2, sort_keys=True), cfg)
+        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     else:
         lines = [poly.to_text()]
         if agreement is not None:
             lines.append(f"check: {'+'.join(agreement['methods'])} agree")
-        _emit("\n".join(lines), cfg)
+        _emit("\n".join(lines), args.out)
     return EXIT_OK
 
 
-def cmd_certify(args, cfg: RunConfig) -> int:
-    cert = failure_certificate(args.n, cfg.enumeration_bound)
-    _emit(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True), cfg)
+def cmd_certify(args) -> int:
+    cert = failure_certificate(args.n)
+    _emit(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True), args.out)
     return EXIT_OK if cert.verified else EXIT_VERIFICATION_FAILURE
 
 
-def _report_row(n: int, cfg: RunConfig) -> dict:
-    cert = classify(
-        n,
-        exhaustive_bound=cfg.exhaustive_group_bound,
-        enumeration_bound=cfg.enumeration_bound,
-        use_symmetry=cfg.symmetry_reduction,
-        seed=cfg.seed,
-    )
+def _report_row(n: int) -> dict:
+    cert = classify(n)
     holds = bool(cert.evidence.get("holds"))
     method = cert.evidence.get("method", "")
     matchings = None
@@ -257,7 +251,7 @@ def _report_row(n: int, cfg: RunConfig) -> dict:
     }
 
 
-def cmd_report(args, cfg: RunConfig) -> int:
+def cmd_report(args) -> int:
     raw = args.range
     try:
         if ".." in raw:
@@ -273,29 +267,20 @@ def cmd_report(args, cfg: RunConfig) -> int:
         print(f"error: range {raw!r} contains no n >= 1", file=sys.stderr)
         return EXIT_USAGE
     start = time.perf_counter()
-    rows = [_report_row(n, cfg) for n in ns]
+    rows = [_report_row(n) for n in ns]
     wall = time.perf_counter() - start
     all_verified = all(r["verified"] for r in rows)
 
-    if cfg.output_format == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(
             buf, fieldnames=["n", "verdict", "evidence", "matchings", "min_coefficient", "verified"]
         )
         writer.writeheader()
         writer.writerows(rows)
-        _emit(buf.getvalue().rstrip("\n"), cfg)
-    elif cfg.output_format == "json":
-        payload = {
-            "rows": rows,
-            "config": {
-                "enumeration_bound": cfg.enumeration_bound,
-                "exhaustive_group_bound": cfg.exhaustive_group_bound,
-                "symmetry_reduction": cfg.symmetry_reduction,
-                "seed": cfg.seed,
-            },
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), cfg)
+        _emit(buf.getvalue().rstrip("\n"), args.out)
+    elif args.format == "json":
+        _emit(json.dumps({"rows": rows}, indent=2, sort_keys=True), args.out)
     else:
         lines = [f"{'n':>3}  {'verdict':7}  {'evidence':20}  {'matchings':>9}  {'min_coeff':>9}"]
         for r in rows:
@@ -304,7 +289,7 @@ def cmd_report(args, cfg: RunConfig) -> int:
                 f"{'' if r['matchings'] is None else r['matchings']:>9}  "
                 f"{'' if r['min_coefficient'] is None else r['min_coefficient']:>9}"
             )
-        _emit("\n".join(lines), cfg)
+        _emit("\n".join(lines), args.out)
     print(f"# wall_time_s={wall:.3f}", file=sys.stderr)
     return EXIT_OK if all_verified else EXIT_VERIFICATION_FAILURE
 
@@ -312,56 +297,42 @@ def cmd_report(args, cfg: RunConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchlab",
-        description=(
-            "Verification lab for acyclic matchings in abelian groups. "
-            f"Default config may be supplied via ${CONFIG_ENV_VAR}."
-        ),
+        description="Verification lab for acyclic matchings in abelian groups.",
     )
-    parser.add_argument("--config", help="path to a JSON config file")
-    parser.add_argument("--format", choices=OUTPUT_FORMATS, dest="output_format")
-    parser.add_argument("--out", dest="output_path", help="write output to this file")
-    parser.add_argument("--seed", type=int, help="seed for sampled checks")
-    parser.add_argument(
-        "--no-symmetry",
-        action="store_true",
-        help="disable unit-scaling symmetry reduction in exhaustive search",
-    )
+    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    parser.add_argument("--out", help="write output to this file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classification verdict for Z/nZ or Z")
     p.add_argument("group", help="group order n, or Z for the integers")
-    p.add_argument("--bound", type=int, help="exhaustive group-order bound")
-    p.set_defaults(func=cmd_classify, bound_field="exhaustive_group_bound")
+    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify-amp", help="exhaustive acyclic-matching-property check for Z/nZ")
     p.add_argument("n", type=int)
-    p.add_argument("--bound", type=int, help="exhaustive group-order bound")
-    p.set_defaults(func=cmd_verify_amp, bound_field="exhaustive_group_bound")
+    p.add_argument("--bound", type=int, default=DEFAULT_EXHAUSTIVE_BOUND,
+                   help="exhaustive group-order bound")
+    p.set_defaults(func=cmd_verify_amp)
 
     p = sub.add_parser("enumerate", help="enumerate matchings of one pair and bucket them")
     p.add_argument("group", help="group order n, or Z for the integers")
     p.add_argument("--a", type=_parse_elements, required=True, help="comma-separated elements of A")
     p.add_argument("--b", type=_parse_elements, required=True, help="comma-separated elements of B")
-    p.add_argument("--bound", type=int, help="enumeration size bound")
-    p.set_defaults(func=cmd_enumerate, bound_field="enumeration_bound")
+    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("genfun", help="matching generating function for the standard pair")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.add_argument("--method", choices=["transfer", "brute", "closed"], default="transfer")
     p.add_argument("--check", action="store_true", help="cross-validate all applicable methods")
-    p.add_argument("--bound", type=int, help="enumeration size bound")
-    p.set_defaults(func=cmd_genfun, bound_field="enumeration_bound")
+    p.set_defaults(func=cmd_genfun)
 
     p = sub.add_parser("certify", help="failure certificate for Z/nZ")
     p.add_argument("n", type=int)
-    p.add_argument("--bound", type=int, help="enumeration size bound")
-    p.set_defaults(func=cmd_certify, bound_field="enumeration_bound")
+    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("report", help="classification table over a range of n (LO..HI)")
     p.add_argument("range", help="N or LO..HI (inclusive)")
-    p.add_argument("--bound", type=int, help="exhaustive group-order bound")
-    p.set_defaults(func=cmd_report, bound_field="exhaustive_group_bound")
+    p.set_defaults(func=cmd_report)
 
     return parser
 
@@ -370,18 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_element_lists(sys.argv[1:] if argv is None else argv))
     try:
-        cfg = RunConfig.from_file(args.config) if args.config else RunConfig.from_env()
-        overrides = {
-            "output_format": args.output_format,
-            "output_path": args.output_path,
-            "seed": args.seed,
-        }
-        if args.no_symmetry:
-            overrides["symmetry_reduction"] = False
-        if getattr(args, "bound", None) is not None:
-            overrides[args.bound_field] = args.bound
-        cfg = cfg.override(**overrides)
-        return args.func(args, cfg)
+        return args.func(args)
     except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND

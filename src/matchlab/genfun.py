@@ -16,7 +16,7 @@ import math
 from collections import Counter
 
 from .groups import cyclic
-from .matching import DEFAULT_ENUMERATION_BOUND, SubsetPair, acyclicity_report
+from .matching import SubsetPair, acyclicity_report
 
 Exponents = tuple[int, int, int]  # (w0, w1, w3)
 
@@ -220,14 +220,12 @@ def standard_pair(n: int, m: int) -> SubsetPair:
     return SubsetPair(g, a, b)
 
 
-def brute_genfun(
-    n: int, m: int, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> GenPoly:
+def brute_genfun(n: int, m: int) -> GenPoly:
     """Oracle for transfer_genfun: enumerate all matchings of the standard
     pair and read each multiplicity class as the monomial
     c0^w0 * c1^w1 * c3^w3, w_k = number of sums a + f(a) equal to k."""
     terms: dict[Exponents, int] = {}
-    for key, size, _ in acyclicity_report(standard_pair(n, m), bound).classes:
+    for key, size, _ in acyclicity_report(standard_pair(n, m)).classes:
         counts = dict(key)
         extra = set(counts) - {0, 1, 3}
         if extra:
@@ -292,15 +290,15 @@ def closed_form_m6(n: int) -> GenPoly:
     )
 
 
-def genfun_by_method(method: str, n: int, m: int, bound: int) -> GenPoly:
+def genfun_by_method(method: str, n: int, m: int) -> GenPoly:
     """The generating function of the standard pair (n, m) by one method:
-    "transfer", "brute" (enumeration up to `bound`) or "closed" (m = 2 or
-    m = 6).  Raises ValueError for an unknown method or a missing closed
+    "transfer", "brute" (enumeration, up to the enumeration bound) or
+    "closed" (m = 2 or m = 6).  Raises ValueError for an unknown method or a missing closed
     form."""
     if method == "transfer":
         return transfer_genfun(n, m)
     if method == "brute":
-        return brute_genfun(n, m, bound)
+        return brute_genfun(n, m)
     if method == "closed":
         if m == 2:
             return closed_form_m2(n)

@@ -42,7 +42,7 @@ from typing import Iterator
 from .errors import BoundExceededError
 from .groups import GroupCtx, cyclic, units
 
-DEFAULT_ENUMERATION_BOUND = 20
+ENUMERATION_BOUND = 20
 DEFAULT_EXHAUSTIVE_BOUND = 8
 # The product of the row degrees bounds the number of matchings; up to this
 # product `acyclicity_report` walks every matching, beyond it it counts them
@@ -152,9 +152,7 @@ def matching_exists(pair: SubsetPair) -> bool:
     return matched == pair.size
 
 
-def enumerate_matchings(
-    pair: SubsetPair, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> Iterator[Matching]:
+def enumerate_matchings(pair: SubsetPair) -> Iterator[Matching]:
     """Yield every matching exactly once, in lexicographic order of the
     assignment array.
 
@@ -162,8 +160,8 @@ def enumerate_matchings(
     partners in ascending order of B, so assignments come out in
     lexicographic order without a sort.
     """
-    if pair.size > bound:
-        raise BoundExceededError(f"|A| = {pair.size} exceeds enumeration bound {bound}")
+    if pair.size > ENUMERATION_BOUND:
+        raise BoundExceededError(f"|A| = {pair.size} exceeds enumeration bound {ENUMERATION_BOUND}")
     g = pair.group
     a_set = frozenset(pair.a)
     # candidates[i] = elements of B that the i-th element of A may be matched to
@@ -279,9 +277,7 @@ class AcyclicityReport:
         return Matching(self.pair, first[keys[0]])
 
 
-def acyclicity_report(
-    pair: SubsetPair, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> AcyclicityReport:
+def acyclicity_report(pair: SubsetPair) -> AcyclicityReport:
     """Bucket all matchings by multiplicity vector, keeping each class's
     size and first matching in assignment order.  Classes are sorted by
     vector; the witness is the first matching of the singleton class with
@@ -297,8 +293,8 @@ def acyclicity_report(
     states, the walk runs instead.  Either way the answers are the same, and
     on the search side `classes` runs the walk the first time it is read.
     """
-    if pair.size > bound:
-        raise BoundExceededError(f"|A| = {pair.size} exceeds enumeration bound {bound}")
+    if pair.size > ENUMERATION_BOUND:
+        raise BoundExceededError(f"|A| = {pair.size} exceeds enumeration bound {ENUMERATION_BOUND}")
     options, sums, product = _edge_table(pair)
     if product > WALK_DEGREE_PRODUCT:
         total = _count_matchings(options)
@@ -624,7 +620,6 @@ def verify_group_amp(
     g: GroupCtx,
     use_symmetry: bool = True,
     exhaustive_bound: int = DEFAULT_EXHAUSTIVE_BOUND,
-    enumeration_bound: int = DEFAULT_ENUMERATION_BOUND,
 ) -> GroupSearchResult:
     """Exhaustively test the acyclic matching property of Z/nZ.
 
@@ -646,20 +641,16 @@ def verify_group_amp(
             key = _canonical_orbit_key(n, pair, unit_group)
             ok = verdict_cache.get(key)
             if ok is None:
-                ok = acyclicity_report(pair, enumeration_bound).has_acyclic
+                ok = acyclicity_report(pair).has_acyclic
                 verdict_cache[key] = ok
         else:
-            ok = acyclicity_report(pair, enumeration_bound).has_acyclic
+            ok = acyclicity_report(pair).has_acyclic
         if not ok:
             return GroupSearchResult(False, pair, checked)
     return GroupSearchResult(True, None, checked)
 
 
-def large_set_check(
-    g: GroupCtx,
-    exhaustive_bound: int = DEFAULT_EXHAUSTIVE_BOUND,
-    enumeration_bound: int = DEFAULT_ENUMERATION_BOUND,
-) -> bool:
+def large_set_check(g: GroupCtx) -> bool:
     """True iff every valid pair with |A| in {n-1, n-2} that admits any
     matching admits an acyclic one.  Size-(n-3) pairs are the largest that
     can be matched without being acyclically matched.
@@ -671,11 +662,11 @@ def large_set_check(
     if not g.is_cyclic:
         raise ValueError("large-set check requires a cyclic group")
     n = g.modulus
-    if not 3 <= n <= exhaustive_bound:
-        raise BoundExceededError(f"group order {n} outside [3, {exhaustive_bound}]")
+    if not 3 <= n <= DEFAULT_EXHAUSTIVE_BOUND:
+        raise BoundExceededError(f"group order {n} outside [3, {DEFAULT_EXHAUSTIVE_BOUND}]")
     sizes = tuple(k for k in (n - 2, n - 1) if 1 <= k <= n - 1)
     for pair in iter_valid_pairs(n, sizes):
-        report = acyclicity_report(pair, enumeration_bound)
+        report = acyclicity_report(pair)
         if report.total_matchings > 0 and not report.has_acyclic:
             return False
     return True

@@ -149,7 +149,7 @@ def test_criterion_8_large_set_property(capsys):
 
 def test_criterion_9_torsion_free_spot_check(capsys):
     def check():
-        result = spot_check_integers(seed=20240601, count=500)
+        result = spot_check_integers()
         assert result["samples"] == 500
         assert result["failures"] == []
 

@@ -91,6 +91,19 @@ class TestNonprimeCounterexample:
             cyclic(n), tuple(cert.evidence["pair"]["a"]), tuple(cert.evidence["pair"]["b"])
         )
         assert not matching_exists(pair)
+        assert cert.evidence["neighbourhood"] == [cert.evidence["extra_element"]]
+
+    @pytest.mark.parametrize("n", [42, 63, 166])
+    def test_hall_violator_past_the_enumeration_bound(self, n):
+        # |A| = n / 2 or n / 3 exceeds the enumeration bound of 20
+        cert = nonprime_counterexample(n)
+        assert cert.verified
+        assert len(cert.evidence["pair"]["a"]) > 20
+        assert cert.evidence["neighbourhood"] == [1]
+        assert cert.evidence["checks"] == {
+            "no_matching_augmenting_paths": True,
+            "hall_violation": True,
+        }
 
     @pytest.mark.parametrize("n", [1, 2, 7, 13])
     def test_precondition(self, n):
@@ -129,7 +142,7 @@ class TestClassify:
         assert cert.evidence["holds"] is False
 
     def test_integers_sampled(self):
-        cert = classify("Z", sample_count=50)
+        cert = classify("Z")
         assert cert.verified
         assert cert.evidence["holds"]
         assert cert.evidence["seed"] == 20240601
@@ -143,9 +156,7 @@ class TestClassify:
 
 class TestIntegerSpotCheck:
     def test_deterministic_given_seed(self):
-        a = spot_check_integers(seed=7, count=40)
-        b = spot_check_integers(seed=7, count=40)
-        assert a == b
+        assert spot_check_integers() == spot_check_integers()
 
     def test_sampled_pairs_are_valid(self):
         rng = random.Random(3)
@@ -155,5 +166,8 @@ class TestIntegerSpotCheck:
             assert all(-6 <= x <= 6 for x in pair.a + pair.b)
 
     def test_no_failures_at_default_scale(self):
-        result = spot_check_integers(seed=123, count=100)
+        result = spot_check_integers()
+        assert (result["seed"], result["samples"], result["max_size"], result["element_span"]) == (
+            20240601, 500, 5, 6
+        )
         assert result["failures"] == []

@@ -4,7 +4,6 @@ import pytest
 
 from matchlab import genfun
 from matchlab.cli import main
-from matchlab.config import RunConfig
 
 
 def run(argv, capsys):
@@ -214,74 +213,57 @@ class TestReportCommand:
         assert code == 2
 
 
-class TestConfig:
-    def test_defaults(self):
-        cfg = RunConfig()
-        assert cfg.enumeration_bound == 20
-        assert cfg.exhaustive_group_bound == 8
-        assert cfg.symmetry_reduction is True
+class TestOptions:
+    def test_enumeration_bound_exits_3(self, capsys):
+        a = ",".join(str(x) for x in range(21))
+        b = ",".join(str(x) for x in range(1, 22))
+        for argv in (
+            ["enumerate", "Z", "--a", a, "--b", b],
+            ["genfun", "24", "2", "--method", "brute"],
+        ):
+            code, out, err = run(argv, capsys)
+            assert code == 3
+            assert out == ""
+            assert err == "error: |A| = 21 exceeds enumeration bound 20\n"
 
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            RunConfig(enumeration_bound=0)
-        with pytest.raises(ValueError):
-            RunConfig(output_format="xml")
-        with pytest.raises(ValueError):
-            RunConfig(output_path=5)
-
-    def test_env_config_file(self, capsys, tmp_path, monkeypatch):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"exhaustive_group_bound": 6}))
-        monkeypatch.setenv("MATCHLAB_CONFIG", str(path))
-        code, _, _ = run(["verify-amp", "7"], capsys)
-        assert code == 3  # 7 exceeds the configured bound
-
-    def test_unknown_config_key_rejected(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"bogus": 1}))
-        with pytest.raises(ValueError):
-            RunConfig.from_file(path)
-
-    def test_missing_config_file_is_usage_error(self, capsys, tmp_path):
-        path = tmp_path / "missing.json"
-        code, out, err = run(["--config", str(path), "classify", "2"], capsys)
+    def test_verify_amp_bound(self, capsys):
+        code, out, err = run(["verify-amp", "9"], capsys)
+        assert code == 3
+        assert err == "error: group order 9 exceeds exhaustive bound 8\n"
+        code, out, _ = run(["verify-amp", "9", "--bound", "9"], capsys)
+        assert code == 0
+        assert out.startswith("Z/9Z: fails; first counterexample")
+        code, out, err = run(["verify-amp", "5", "--bound", "0"], capsys)
         assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: cannot read config {path}: ")
+        assert err == "error: --bound must be positive, got 0\n"
 
-    def test_missing_env_config_file_is_usage_error(self, capsys, tmp_path, monkeypatch):
+    def test_unknown_format_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "xml", "certify", "9"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
+
+    def test_config_variable_is_not_read(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("MATCHLAB_CONFIG", str(tmp_path / "missing.json"))
         code, out, err = run(["classify", "2"], capsys)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: cannot read config ")
-
-    def test_config_not_an_object_is_usage_error(self, capsys, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text("[]")
-        code, out, err = run(["--config", str(path), "classify", "2"], capsys)
-        assert code == 2
-        assert out == ""
-        assert err == "error: config must be a JSON object, got list\n"
+        assert code == 0
+        assert out == "Z/2Z: holds (exhaustive)\n"
+        assert err == ""
 
     @pytest.mark.parametrize(
-        "field,value",
+        "argv",
         [
-            ("enumeration_bound", "20"),
-            ("exhaustive_group_bound", True),
-            ("seed", "x"),
-            ("symmetry_reduction", "no"),
+            ["--seed", "3", "classify", "Z"],
+            ["--no-symmetry", "verify-amp", "7"],
+            ["--config", "f.json", "classify", "2"],
+            ["certify", "9", "--bound", "5"],
         ],
+        ids=["seed", "no-symmetry", "config", "certify-bound"],
     )
-    def test_wrongly_typed_field_is_usage_error(self, capsys, tmp_path, field, value):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({field: value}))
-        code, out, err = run(["--config", str(path), "classify", "2"], capsys)
-        assert code == 2
+    def test_removed_option_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith(f"error: {field} must be ")
-
-    def test_no_symmetry_flag(self, capsys):
-        code, out, _ = run(["--no-symmetry", "--format", "json", "verify-amp", "7"], capsys)
-        assert code == 0
-        assert json.loads(out)["counterexample"] == {"a": [0, 1, 3], "b": [1, 2, 4]}
+        assert err.startswith("usage: matchlab")

@@ -207,9 +207,11 @@ class TestEnumerate:
                 assert got == list(expected)
 
     def test_bound_enforced(self):
-        p = complement_pair(8, (0, 1, 3), (0, 1, 2))
+        g = integers()
+        at_bound = SubsetPair(g, tuple(range(20)), tuple(range(1, 21)))
+        assert len(list(enumerate_matchings(at_bound))) == 1
         with pytest.raises(BoundExceededError):
-            list(enumerate_matchings(p, bound=4))
+            list(enumerate_matchings(SubsetPair(g, tuple(range(21)), tuple(range(1, 22)))))
 
 
 class TestMatchingExists:
@@ -432,9 +434,11 @@ class TestAcyclicityReport:
         self.assert_lazy_answers_agree(pair)
 
     def test_bound_enforced(self):
-        p = complement_pair(8, (0, 1, 3), (0, 1, 2))
+        g = integers()
+        at_bound = SubsetPair(g, tuple(range(20)), tuple(range(1, 21)))
+        assert acyclicity_report(at_bound).total_matchings == 1
         with pytest.raises(BoundExceededError):
-            acyclicity_report(p, bound=p.size - 1)
+            acyclicity_report(SubsetPair(g, tuple(range(21)), tuple(range(1, 22))))
 
     def test_symmetry_soundness(self):
         # simultaneous unit scaling preserves the class-size multiset
@@ -508,7 +512,7 @@ class TestLargeSetCheck:
 
     def test_bound_enforced(self):
         with pytest.raises(BoundExceededError):
-            large_set_check(cyclic(9), exhaustive_bound=8)
+            large_set_check(cyclic(9))
 
 
 @settings(max_examples=200, deadline=None)
