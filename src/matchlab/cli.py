@@ -8,10 +8,11 @@ exhaustive bound of classify and report, the symmetry reduction and the
 integer sample's seed and count are module constants.
 
 Exit codes: 0 success, 1 verification failure (a claim failed to re-verify;
-diagnostic dump emitted), 2 usage error, 3 resource bound exceeded (|A| past
-the enumeration bound in enumerate and genfun --method brute, or a group
-order past verify-amp's --bound).  Reports are byte-identical for identical
-inputs; wall time lives in a separate metadata block, never in data rows.
+diagnostic dump emitted), 2 usage error (also genfun --check when fewer than
+two methods apply), 3 resource bound exceeded (|A| past the enumeration bound
+in enumerate and genfun --method brute, or a group order past verify-amp's
+--bound).  Reports are byte-identical for identical inputs; wall time lives in
+a separate metadata block, never in data rows.
 """
 
 from __future__ import annotations
@@ -181,18 +182,19 @@ def cmd_genfun(args) -> int:
     poly = genfun_by_method(args.method, args.n, args.m)
     agreement = None
     if args.check:
-        candidates = ["transfer", "brute"]
-        if args.m in (2, 6):
-            candidates.append("closed")
         values = {}
-        for method in candidates:
-            if method == args.method:
-                values[method] = poly
-                continue
+        for method in ("transfer", "brute", "closed"):
             try:
-                values[method] = genfun_by_method(method, args.n, args.m)
+                values[method] = (
+                    poly if method == args.method else genfun_by_method(method, args.n, args.m)
+                )
             except (ValueError, BoundExceededError):
                 continue
+        if len(values) < 2:
+            raise ValueError(
+                f"--check needs two methods, but only {'+'.join(values)} ran"
+                f" for n = {args.n}, m = {args.m}"
+            )
         agreement = {
             "methods": sorted(values),
             "agree": len(set(values.values())) == 1,

@@ -41,14 +41,6 @@ class GenPoly:
         self._terms = clean
 
     @classmethod
-    def zero(cls) -> "GenPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "GenPoly":
-        return cls({(0, 0, 0): 1})
-
-    @classmethod
     def monomial(cls, w0: int, w1: int, w3: int, coeff: int = 1) -> "GenPoly":
         return cls({(w0, w1, w3): coeff})
 
@@ -58,10 +50,6 @@ class GenPoly:
 
     def coefficients(self) -> list[int]:
         return [c for _, c in self.items()]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -97,7 +85,7 @@ class GenPoly:
 
     def to_text(self) -> str:
         """Canonical text form: `2*c0*c1*c3^2 + ...`, terms lex-ascending."""
-        if self.is_zero:
+        if not self:
             return "0"
         parts = []
         for (w0, w1, w3), c in self.items():
@@ -124,8 +112,8 @@ class GenPoly:
 C0 = GenPoly.monomial(1, 0, 0)
 C1 = GenPoly.monomial(0, 1, 0)
 C3 = GenPoly.monomial(0, 0, 1)
-ONE = GenPoly.one()
-ZERO = GenPoly.zero()
+ONE = GenPoly.monomial(0, 0, 0)
+ZERO = GenPoly()
 
 # Automaton pieces, exactly as the ascending-order matching construction
 # prints them.  States before the gap at m track the single unmatched element

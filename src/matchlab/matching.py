@@ -15,15 +15,16 @@ it walks every matching, keyed by one int, a digit per distinct allowed sum
 counting how often it occurs: it backtracks over the first half of A, and
 the completions of the second half, which depend only on the set of B left,
 are walked once per such set the first time a prefix leaves it.  It keeps
-the class table: `has_acyclic` reads the class sizes alone, while the sorted
-classes and the witness are decoded from the keys on first read.  Beyond
-that product it counts the matchings by a DP over the used elements of B,
-kept in one packed int while it fits in `PACKED_COUNT_BITS` bits (|A| <= 12)
-and in a dict beyond, then searches the classes in lex order of their
-vectors, passing over sums no state has an edge at, and stops at the first
-singleton, the witness; a search that creates more than
-`total_matchings // SEARCH_BUDGET_DIVISOR` states gives way to the walk, and
-on the search side the classes are walked when first read.
+the class table: `has_acyclic` reads the class sizes alone, the sorted
+classes are decoded from the keys on first read, and the witness is the
+first class of size 1 among them.  Beyond that product it counts the
+matchings by a DP over the used elements of B, kept in one packed int while
+it fits in `PACKED_COUNT_BITS` bits (|A| <= 12) and in a dict beyond, then
+searches the classes in lex order of their vectors, passing over sums no
+state has an edge at, and stops at the first singleton, the witness; a
+search that creates more than `total_matchings // SEARCH_BUDGET_DIVISOR`
+states gives way to the walk, and on the search side the classes are walked
+when first read.
 `enumerate_matchings` with `multiplicity` is the independent reference
 route that tests compare it against.
 
@@ -198,12 +199,12 @@ class AcyclicityReport:
     report keeps the walk's table, keyed by one int per class: digit r of
     the key, `k.bit_length()` bits wide for |A| = k, counts the matched sums
     equal to `_sums[r]`.  `has_acyclic` reads the class sizes alone;
-    `classes` decodes the keys into vectors, and `acyclic_witness` compares
-    the keys digit by digit, the first time each is read.  On the search
-    side, taken for pairs whose row-degree product exceeds
-    `WALK_DEGREE_PRODUCT` when the search stays within its budget, the
-    report holds the count and the searched witness instead, and `classes`
-    runs the walk the first time it is read.
+    `classes` decodes the keys into vectors the first time it is read, and
+    `acyclic_witness` is its first class of size 1.  On the search side,
+    taken for pairs whose row-degree product exceeds `WALK_DEGREE_PRODUCT`
+    when the search stays within its budget, the report holds the count and
+    the searched witness instead, and `classes` runs the walk the first time
+    it is read.
     """
 
     pair: SubsetPair
@@ -255,33 +256,14 @@ class AcyclicityReport:
         vector, or None."""
         if self._table is None:
             return self._searched and Matching(self.pair, self._searched)
-        sizes, first = self._table
-        singletons = [key for key, size in sizes.items() if size == 1]
-        if not singletons:
-            return None
-        # Vectors compare entry by entry from the smallest sum, so at the
-        # lowest digit where two keys differ a nonzero count beats 0 and a
-        # smaller count beats a larger one.  The keys left always agree
-        # below bit `shift`; skip to the lowest digit where one is nonzero
-        # and keep the keys with the least nonzero count there.
-        width = self.pair.size.bit_length()
-        digit = (1 << width) - 1
-        keys, shift = singletons, 0
-        while len(keys) > 1:
-            low = min(rest & -rest for rest in (key >> shift for key in keys))
-            shift += (low.bit_length() - 1) // width * width
-            counts = [key >> shift & digit for key in keys]
-            least = min(count for count in counts if count)
-            keys = [key for key, count in zip(keys, counts) if count == least]
-            shift += width
-        return Matching(self.pair, first[keys[0]])
+        return next((first for _, size, first in self.classes if size == 1), None)
 
 
 def acyclicity_report(pair: SubsetPair) -> AcyclicityReport:
     """Bucket all matchings by multiplicity vector, keeping each class's
     size and first matching in assignment order.  Classes are sorted by
-    vector; the witness is the first matching of the singleton class with
-    the lex-least vector.
+    vector; the witness is the first matching of the first class of size 1,
+    the singleton class with the lex-least vector.
 
     The report first builds the table of allowed (partner, sum) choices per
     element of A and multiplies the row degrees, a bound on the number of

@@ -37,6 +37,16 @@ class TestCertifyCoprime6:
         assert ev["enumeration"] is not None
         assert all(size >= 2 for size in ev["enumeration"]["class_sizes"])
 
+    @pytest.mark.parametrize("n", [17, 19, 23])
+    def test_enumerates_while_a_is_within_the_enumeration_bound(self, n):
+        # |A| = n - 3 is at most the enumeration bound of 20
+        cert = certify_coprime6(n)
+        assert cert.verified
+        ev = cert.evidence
+        genfun = GenPoly.from_json_terms(ev["genfun"])
+        assert ev["enumeration"]["total_matchings"] == genfun.total()
+        assert all(size >= 2 for size in ev["enumeration"]["class_sizes"])
+
     def test_n25_closed_form_only(self):
         cert = certify_coprime6(25)
         assert cert.verified

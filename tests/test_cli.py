@@ -52,6 +52,18 @@ class TestGenfunCommand:
         assert code == 0
         assert out.splitlines()[-1] == "check: closed+transfer agree"
 
+    @pytest.mark.parametrize(
+        "argv,ran",
+        [(["genfun", "30", "5", "--check"], "transfer"),
+         (["genfun", "8", "5", "--method", "brute", "--check"], "brute")],
+    )
+    def test_check_with_one_method_is_usage_error(self, capsys, argv, ran):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        n, m = argv[1:3]
+        assert err == f"error: --check needs two methods, but only {ran} ran for n = {n}, m = {m}\n"
+
     def test_closed_form_unavailable_is_usage_error(self, capsys):
         code, _, err = run(["genfun", "9", "3", "--method", "closed"], capsys)
         assert code == 2
