@@ -5,9 +5,11 @@ Three claim families:
 * ``coprime6_failure``: for n > 5 coprime to 6, the pair
   A = Z/nZ \\ {0,1,3}, B = Z/nZ \\ {0,1,m} (m = 2 if n = 6k+1, m = 6 if
   n = 6k+5) has every multiplicity class of size >= 2, so no acyclic
-  matching exists.  The closed form is checked against the transfer matrix
-  at every n; while |A| = n - 3 is within ``matching.ENUMERATION_BOUND``
-  the pair's matchings are also enumerated and bucketed.
+  matching exists.  ``genfun.genfun_routes`` computes the pair's generating
+  function by every route that applies: the closed form is checked against
+  the transfer matrix at every n, and while |A| = n - 3 is within
+  ``matching.ENUMERATION_BOUND`` against the enumerated classes too, whose
+  total and sizes (in multiplicity-vector order) the certificate carries.
 * ``nonprime_failure``: for composite n, A = <a> and B = (<a> u {x}) \\ {0}
   admit no matching at all: augmenting paths find none, and the
   neighbourhood N(A) of A in B is {x}, smaller than A (Hall's condition
@@ -32,16 +34,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import VerificationFailure
-from .genfun import (
-    brute_genfun,
-    closed_form_m2,
-    closed_form_m6,
-    standard_pair,
-    transfer_genfun,
-)
+from .genfun import genfun_routes
 from .groups import cyclic, integers, subgroup_generated
 from .matching import (
-    ENUMERATION_BOUND,
     SubsetPair,
     acyclicity_report,
     matching_exists,
@@ -98,12 +93,9 @@ def certify_coprime6(n: int) -> Certificate:
     """
     if n <= 5 or math.gcd(n, 6) != 1:
         raise ValueError(f"need n > 5 coprime to 6, got {n}")
-    if n % 6 == 1:
-        case, m = 1, 2
-        poly = closed_form_m2(n)
-    else:  # n % 6 == 5
-        case, m = 2, 6
-        poly = closed_form_m6(n)
+    case, m = (1, 2) if n % 6 == 1 else (2, 6)
+    routes = genfun_routes(n, m)
+    poly = routes["closed"]
 
     evidence: dict[str, Any] = {
         "n": n,
@@ -118,8 +110,7 @@ def certify_coprime6(n: int) -> Certificate:
     }
 
     checks: dict[str, bool] = {}
-    transfer = transfer_genfun(n, m)
-    checks["closed_form_matches_transfer"] = transfer == poly
+    checks["closed_form_matches_transfer"] = routes.get("transfer") == poly
     checks["all_coefficients_ge_2"] = bool(poly) and all(
         c >= 2 for c in poly.coefficients()
     )
@@ -130,15 +121,21 @@ def certify_coprime6(n: int) -> Certificate:
             obstruction["w0_zero_impossible"] and obstruction["w1_zero_impossible"]
         )
 
-    if n - 3 <= ENUMERATION_BOUND:
-        report = acyclicity_report(standard_pair(n, m))
-        evidence["enumeration"] = {
-            "total_matchings": report.total_matchings,
-            "class_sizes": [count for _, count, _ in report.classes],
-        }
-        checks["no_singleton_class"] = not report.has_acyclic
-        checks["count_matches_genfun"] = report.total_matchings == poly.total()
-        checks["matches_brute_genfun"] = brute_genfun(n, m) == poly
+    brute = routes.get("brute")
+    if brute is not None:
+        # class sizes in the order `acyclicity_report` sorts its classes: by
+        # the vector ((0, w0), (1, w1), (3, w3)) without its zero counts,
+        # which puts w0 = 0 after every w0 > 0
+        by_vector = sorted(
+            brute.items(),
+            key=lambda term: tuple((s, w) for s, w in zip((0, 1, 3), term[0]) if w),
+        )
+        class_sizes = [size for _, size in by_vector]
+        total = brute.total()
+        evidence["enumeration"] = {"total_matchings": total, "class_sizes": class_sizes}
+        checks["no_singleton_class"] = 1 not in class_sizes
+        checks["count_matches_genfun"] = total == poly.total()
+        checks["matches_brute_genfun"] = brute == poly
     else:
         evidence["enumeration"] = None
 

@@ -30,7 +30,7 @@ from .errors import (
     MatchlabError,
     VerificationFailure,
 )
-from .genfun import genfun_by_method
+from .genfun import genfun_by_method, genfun_routes
 from .groups import cyclic, integers
 from .matching import (
     DEFAULT_EXHAUSTIVE_BOUND,
@@ -182,14 +182,7 @@ def cmd_genfun(args) -> int:
     poly = genfun_by_method(args.method, args.n, args.m)
     agreement = None
     if args.check:
-        values = {}
-        for method in ("transfer", "brute", "closed"):
-            try:
-                values[method] = (
-                    poly if method == args.method else genfun_by_method(method, args.n, args.m)
-                )
-            except (ValueError, BoundExceededError):
-                continue
+        values = genfun_routes(args.n, args.m, {args.method: poly})
         if len(values) < 2:
             raise ValueError(
                 f"--check needs two methods, but only {'+'.join(values)} ran"
@@ -197,7 +190,7 @@ def cmd_genfun(args) -> int:
             )
         agreement = {
             "methods": sorted(values),
-            "agree": len(set(values.values())) == 1,
+            "agree": all(p == poly for p in values.values()),
         }
         if not agreement["agree"]:
             dump = {m: p.to_text() for m, p in values.items()}
@@ -262,12 +255,10 @@ def cmd_report(args) -> int:
         else:
             lo = hi = int(raw)
     except ValueError:
-        print(f"error: range must be N or LO..HI, got {raw!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"range must be N or LO..HI, got {raw!r}") from None
     ns = range(max(lo, 1), hi + 1)
     if not ns:
-        print(f"error: range {raw!r} contains no n >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"range {raw!r} contains no n >= 1")
     start = time.perf_counter()
     rows = [_report_row(n) for n in ns]
     wall = time.perf_counter() - start

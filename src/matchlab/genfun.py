@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+from .errors import BoundExceededError
 from .groups import cyclic
 from .matching import SubsetPair, acyclicity_report
 
@@ -58,9 +59,6 @@ class GenPoly:
         if not isinstance(other, GenPoly):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.items()))
 
     def __add__(self, other: "GenPoly") -> "GenPoly":
         terms = dict(self._terms)
@@ -138,14 +136,14 @@ START_VECTOR = (C1 * C1 * C3, C0 * C3 * C3, C1 * C3 * C3)
 Matrix = tuple[tuple[GenPoly, ...], ...]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def row_times_matrix(row: tuple[GenPoly, ...], m: Matrix) -> tuple[GenPoly, ...]:
     return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(3)), ZERO)
-            for j in range(3)
-        )
-        for i in range(3)
+        sum((row[k] * m[k][j] for k in range(3)), ZERO) for j in range(3)
     )
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(row_times_matrix(row, b) for row in a)
 
 
 def mat_pow(m: Matrix, e: int) -> Matrix:
@@ -159,12 +157,6 @@ def mat_pow(m: Matrix, e: int) -> Matrix:
     for _ in range(e):
         result = mat_mul(result, m)
     return result
-
-
-def row_times_matrix(row: tuple[GenPoly, ...], m: Matrix) -> tuple[GenPoly, ...]:
-    return tuple(
-        sum((row[k] * m[k][j] for k in range(3)), ZERO) for j in range(3)
-    )
 
 
 def transfer_genfun(n: int, m: int) -> GenPoly:
@@ -294,6 +286,22 @@ def genfun_by_method(method: str, n: int, m: int) -> GenPoly:
             return closed_form_m6(n)
         raise ValueError(f"no closed form for m = {m} (only m = 2 and m = 6)")
     raise ValueError(f"unknown method {method!r}")
+
+
+def genfun_routes(n: int, m: int, known: dict[str, GenPoly] | None = None) -> dict[str, GenPoly]:
+    """The generating function of the standard pair (n, m) by every method
+    that applies, keyed by method in the order transfer, brute, closed.  A
+    method in ``known`` is taken from it, not recomputed; a method that
+    raises ValueError (no closed form, n too small) or BoundExceededError
+    (|A| past the enumeration bound) is left out."""
+    known = known or {}
+    routes: dict[str, GenPoly] = {}
+    for method in ("transfer", "brute", "closed"):
+        try:
+            routes[method] = known[method] if method in known else genfun_by_method(method, n, m)
+        except (ValueError, BoundExceededError):
+            continue
+    return routes
 
 
 def recurrence_check(seq: list[GenPoly]) -> bool:

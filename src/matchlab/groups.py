@@ -70,11 +70,7 @@ def subgroup_generated(g: GroupCtx, a: int) -> tuple[int, ...]:
     if not g.is_cyclic:
         raise ValueError("subgroup enumeration requires a cyclic group")
     n = g.modulus
-    a = g.canonicalize(a)
-    if a == 0:
-        return (0,)
-    step = math.gcd(a, n)
-    return tuple(range(0, n, step))
+    return tuple(range(0, n, math.gcd(a, n)))
 
 
 def units(g: GroupCtx) -> tuple[int, ...]:

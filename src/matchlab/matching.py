@@ -556,14 +556,11 @@ def _search(
     return tuple(assignment)
 
 
-def iter_valid_pairs(n: int, sizes: tuple[int, ...] | None = None) -> Iterator[SubsetPair]:
+def iter_valid_pairs(n: int) -> Iterator[SubsetPair]:
     """All valid (A, B) pairs of Z/nZ in deterministic (|A|, lex A, lex B)
     order.  B is drawn from [1, n)."""
     g = cyclic(n)
-    all_sizes = sizes if sizes is not None else tuple(range(1, n))
-    for k in all_sizes:
-        if not 1 <= k <= n - 1:
-            continue
+    for k in range(1, n):
         for a_set in itertools.combinations(range(n), k):
             for b_set in itertools.combinations(range(1, n), k):
                 yield SubsetPair(g, a_set, b_set)
@@ -631,24 +628,3 @@ def verify_group_amp(
             return GroupSearchResult(False, pair, checked)
     return GroupSearchResult(True, None, checked)
 
-
-def large_set_check(g: GroupCtx) -> bool:
-    """True iff every valid pair with |A| in {n-1, n-2} that admits any
-    matching admits an acyclic one.  Size-(n-3) pairs are the largest that
-    can be matched without being acyclically matched.
-
-    Pairs with no matching at all (possible for composite n, e.g. subgroup
-    constructions) fail the plain matching property and are out of scope
-    here; they are certified separately.
-    """
-    if not g.is_cyclic:
-        raise ValueError("large-set check requires a cyclic group")
-    n = g.modulus
-    if not 3 <= n <= DEFAULT_EXHAUSTIVE_BOUND:
-        raise BoundExceededError(f"group order {n} outside [3, {DEFAULT_EXHAUSTIVE_BOUND}]")
-    sizes = tuple(k for k in (n - 2, n - 1) if 1 <= k <= n - 1)
-    for pair in iter_valid_pairs(n, sizes):
-        report = acyclicity_report(pair)
-        if report.total_matchings > 0 and not report.has_acyclic:
-            return False
-    return True

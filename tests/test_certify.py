@@ -11,7 +11,7 @@ from matchlab.certify import (
     sample_integer_pairs,
     spot_check_integers,
 )
-from matchlab.genfun import GenPoly, transfer_genfun
+from matchlab.genfun import GenPoly, standard_pair, transfer_genfun
 from matchlab.groups import cyclic
 from matchlab.matching import SubsetPair, acyclicity_report, matching_exists, verify_group_amp
 
@@ -46,6 +46,15 @@ class TestCertifyCoprime6:
         genfun = GenPoly.from_json_terms(ev["genfun"])
         assert ev["enumeration"]["total_matchings"] == genfun.total()
         assert all(size >= 2 for size in ev["enumeration"]["class_sizes"])
+
+    @pytest.mark.parametrize("n", [7, 11, 13, 17, 19, 23])
+    def test_enumeration_block_matches_the_report(self, n):
+        ev = certify_coprime6(n).evidence
+        report = acyclicity_report(standard_pair(n, ev["m"]))
+        assert ev["enumeration"] == {
+            "total_matchings": report.total_matchings,
+            "class_sizes": [size for _, size, _ in report.classes],
+        }
 
     def test_n25_closed_form_only(self):
         cert = certify_coprime6(25)

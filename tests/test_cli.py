@@ -1,4 +1,7 @@
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -221,8 +224,10 @@ class TestReportCommand:
         assert err == "error: range '0' contains no n >= 1\n"
 
     def test_bad_range_is_usage_error(self, capsys):
-        code, _, _ = run(["report", "a..b"], capsys)
+        code, out, err = run(["report", "a..b"], capsys)
         assert code == 2
+        assert out == ""
+        assert err == "error: range must be N or LO..HI, got 'a..b'\n"
 
 
 class TestOptions:
@@ -279,3 +284,18 @@ class TestOptions:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("usage: matchlab")
+
+
+def _readme_cli_examples() -> list[str]:
+    """The `matchlab ...` lines of README's CLI block, comments dropped."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    return [line.split("#")[0].strip() for line in block.splitlines()
+            if line.startswith("matchlab ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_examples())
+def test_readme_cli_example_exits_0(capsys, line):
+    code, out, _ = run(shlex.split(line)[1:], capsys)
+    assert code == 0
+    assert out

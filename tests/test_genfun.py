@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from matchlab import genfun
 from matchlab.genfun import (
     C0,
     C1,
@@ -15,6 +16,7 @@ from matchlab.genfun import (
     brute_genfun,
     closed_form_m2,
     closed_form_m6,
+    genfun_routes,
     recurrence_check,
     standard_pair,
     transfer_genfun,
@@ -217,3 +219,33 @@ class TestBruteGenfun:
         for n, m in [(7, 2), (9, 2), (10, 6)]:
             count = sum(1 for _ in enumerate_matchings(standard_pair(n, m)))
             assert brute_genfun(n, m).total() == count
+
+
+class TestGenfunRoutes:
+    @pytest.mark.parametrize(
+        "n,m,methods",
+        [
+            (200, 2, ["transfer", "closed"]),
+            (30, 5, ["transfer"]),
+            (10, 6, ["transfer", "brute", "closed"]),
+        ],
+    )
+    def test_only_the_methods_that_apply(self, n, m, methods):
+        routes = genfun_routes(n, m)
+        assert list(routes) == methods
+        assert all(p == routes["transfer"] for p in routes.values())
+
+    def test_known_methods_are_not_recomputed(self, monkeypatch):
+        calls = []
+        transfer = genfun.transfer_genfun
+
+        def counting(n, m):
+            calls.append((n, m))
+            return transfer(n, m)
+
+        monkeypatch.setattr(genfun, "transfer_genfun", counting)
+        marker = GenPoly.monomial(9, 9, 9)
+        routes = genfun_routes(10, 6, {"transfer": marker})
+        assert calls == []
+        assert routes["transfer"] is marker
+        assert routes["closed"] == routes["brute"] == transfer(10, 6)

@@ -16,7 +16,6 @@ from matchlab.matching import (
     enumerate_matchings,
     is_matching,
     iter_valid_pairs,
-    large_set_check,
     matching_exists,
     multiplicity,
     verify_group_amp,
@@ -508,11 +507,11 @@ class TestVerifyGroupAmp:
 class TestLargeSetCheck:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_passes_small_orders(self, n):
-        assert large_set_check(cyclic(n))
-
-    def test_bound_enforced(self):
-        with pytest.raises(BoundExceededError):
-            large_set_check(cyclic(9))
+        # every matched pair with |A| in {n - 2, n - 1} is acyclically matched
+        for pair in iter_valid_pairs(n):
+            if pair.size >= n - 2:
+                report = acyclicity_report(pair)
+                assert report.total_matchings == 0 or report.has_acyclic, pair
 
 
 @settings(max_examples=200, deadline=None)
