@@ -6,21 +6,24 @@ Three claim families:
   A = Z/nZ \\ {0,1,3}, B = Z/nZ \\ {0,1,m} (m = 2 if n = 6k+1, m = 6 if
   n = 6k+5) has every multiplicity class of size >= 2, so no acyclic
   matching exists.  ``genfun.genfun_routes`` computes the pair's generating
-  function by every route that applies: the closed form is checked against
-  the transfer matrix at every n, and while |A| = n - 3 is within
-  ``matching.ENUMERATION_BOUND`` against the enumerated classes too, whose
-  total and sizes (in multiplicity-vector order) the certificate carries.
+  function by every route that applies.  The checks: every coefficient of
+  the closed form is >= 2 (``all_coefficients_ge_2``), the closed form
+  equals the transfer matrix's (``closed_form_matches_transfer``), and,
+  while |A| = n - 3 is within ``matching.ENUMERATION_BOUND``, the enumerated
+  classes too (``matches_brute_genfun``), whose total the certificate
+  carries.
 * ``nonprime_failure``: for composite n, A = <a> and B = (<a> u {x}) \\ {0}
-  admit no matching at all: augmenting paths find none, and the
-  neighbourhood N(A) of A in B is {x}, smaller than A (Hall's condition
-  fails).
+  admit no matching at all: augmenting paths find none
+  (``no_matching_augmenting_paths``), and the neighbourhood N(A) of A in B
+  is {x}, smaller than A (``hall_violation``).
 * ``classification``: the overall verdict for a group descriptor - the
   acyclic matching property holds exactly for Z, Z/2, Z/3, Z/5 (and
   vacuously for the trivial group).
 
 Certificates carry enough evidence to re-verify without re-running the
-original search, and ``verified`` is set only after re-checking the evidence
-by two independent routes.  Nothing here takes a setting: enumeration stops at
+original search.  A failure certificate is ``verified`` exactly when all of
+its ``checks`` hold, and lists the ones that do not as ``failed_checks``.
+Nothing here takes a setting: enumeration stops at
 ``matching.ENUMERATION_BOUND`` elements of A, exhaustive checks at
 ``matching.DEFAULT_EXHAUSTIVE_BOUND``, and the integers are sampled with a
 fixed seed and count.
@@ -71,17 +74,16 @@ class Certificate:
         }
 
 
-def _case1_modular_obstruction(n: int) -> dict[str, Any]:
-    """For n = 6k+1, m = 2: binomial coefficients binom(w0+w1, w1) in the
-    closed form equal 1 only when w0 = 0 or w1 = 0, and the support
-    constraint 3*w0 + 2*w1 = n - 2 = 6k - 1 rules both out:
-    w0 = 0 forces 2*w1 odd, w1 = 0 forces 3 | 6k - 1."""
-    target = n - 2
-    return {
-        "support_equation": f"3*w0 + 2*w1 = {target}",
-        "w0_zero_impossible": target % 2 == 1,
-        "w1_zero_impossible": target % 3 != 0,
-    }
+def _checked(claim: str, descriptor: str, evidence: dict[str, Any],
+             checks: dict[str, bool]) -> Certificate:
+    """The certificate of a failure claim: ``verified`` exactly when every
+    check holds, with the failed ones listed next to the evidence
+    otherwise."""
+    evidence["checks"] = checks
+    verified = all(checks.values())
+    if not verified:
+        evidence["failed_checks"] = sorted(k for k, v in checks.items() if not v)
+    return Certificate(claim, descriptor, verified, evidence)
 
 
 def certify_coprime6(n: int) -> Certificate:
@@ -96,6 +98,7 @@ def certify_coprime6(n: int) -> Certificate:
     case, m = (1, 2) if n % 6 == 1 else (2, 6)
     routes = genfun_routes(n, m)
     poly = routes["closed"]
+    brute = routes.get("brute")
 
     evidence: dict[str, Any] = {
         "n": n,
@@ -107,45 +110,15 @@ def certify_coprime6(n: int) -> Certificate:
         },
         "genfun": poly.to_json_terms(),
         "min_coefficient": poly.min_coefficient(),
+        "enumeration": None if brute is None else {"total_matchings": brute.total()},
     }
-
-    checks: dict[str, bool] = {}
-    checks["closed_form_matches_transfer"] = routes.get("transfer") == poly
-    checks["all_coefficients_ge_2"] = bool(poly) and all(
-        c >= 2 for c in poly.coefficients()
-    )
-    if case == 1:
-        obstruction = _case1_modular_obstruction(n)
-        evidence["modular_obstruction"] = obstruction
-        checks["modular_obstruction"] = (
-            obstruction["w0_zero_impossible"] and obstruction["w1_zero_impossible"]
-        )
-
-    brute = routes.get("brute")
+    checks = {
+        "closed_form_matches_transfer": routes.get("transfer") == poly,
+        "all_coefficients_ge_2": bool(poly) and all(c >= 2 for c in poly.coefficients()),
+    }
     if brute is not None:
-        # class sizes in the order `acyclicity_report` sorts its classes: by
-        # the vector ((0, w0), (1, w1), (3, w3)) without its zero counts,
-        # which puts w0 = 0 after every w0 > 0
-        by_vector = sorted(
-            brute.items(),
-            key=lambda term: tuple((s, w) for s, w in zip((0, 1, 3), term[0]) if w),
-        )
-        class_sizes = [size for _, size in by_vector]
-        total = brute.total()
-        evidence["enumeration"] = {"total_matchings": total, "class_sizes": class_sizes}
-        checks["no_singleton_class"] = 1 not in class_sizes
-        checks["count_matches_genfun"] = total == poly.total()
         checks["matches_brute_genfun"] = brute == poly
-    else:
-        evidence["enumeration"] = None
-
-    evidence["checks"] = checks
-    verified = all(checks.values())
-    if not verified:
-        # would falsify the underlying claim; surface the full evidence
-        failed = sorted(k for k, v in checks.items() if not v)
-        evidence["failed_checks"] = failed
-    return Certificate("coprime6_failure", f"Z/{n}Z", verified, evidence)
+    return _checked("coprime6_failure", f"Z/{n}Z", evidence, checks)
 
 
 def nonprime_counterexample(n: int) -> Certificate:
@@ -178,14 +151,12 @@ def nonprime_counterexample(n: int) -> Certificate:
         "extra_element": x,
         "pair": {"a": list(a_set), "b": list(b_set)},
         "neighbourhood": neighbourhood,
-        "checks": {
-            "no_matching_augmenting_paths": no_matching,
-            "hall_violation": hall_violated,
-        },
     }
-    return Certificate(
-        "nonprime_failure", f"Z/{n}Z", no_matching and hall_violated, evidence
-    )
+    checks = {
+        "no_matching_augmenting_paths": no_matching,
+        "hall_violation": hall_violated,
+    }
+    return _checked("nonprime_failure", f"Z/{n}Z", evidence, checks)
 
 
 def failure_certificate(n: int) -> Certificate:

@@ -2,7 +2,8 @@
 
 Verbs: classify, verify-amp, enumerate, genfun, certify, report.
 
-Global options are --format and --out.  The only bound a user sets is
+Global options are --format and --out; csv is a format of report only, and
+certify prints JSON in either other format.  The only bound a user sets is
 verify-amp's --bound on the group order; the enumeration bound, the
 exhaustive bound of classify and report, the symmetry reduction and the
 integer sample's seed and count are module constants.
@@ -334,6 +335,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_element_lists(sys.argv[1:] if argv is None else argv))
     try:
+        if args.format == "csv" and args.func is not cmd_report:
+            raise ValueError(f"--format csv applies only to report, not {args.command}")
         return args.func(args)
     except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,11 +34,6 @@ class GroupCtx:
     def is_cyclic(self) -> bool:
         return self.kind == "cyclic"
 
-    def canonicalize(self, x: int) -> int:
-        if self.is_cyclic:
-            return x % self.modulus
-        return x
-
     def is_canonical(self, x: int) -> bool:
         if self.is_cyclic:
             return 0 <= x < self.modulus

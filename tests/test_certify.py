@@ -26,7 +26,7 @@ class TestCertifyCoprime6:
         assert ev["case"] == 1 and ev["m"] == 2
         assert GenPoly.from_json_terms(ev["genfun"]) == GenPoly.monomial(1, 1, 2, 2)
         assert ev["min_coefficient"] == 2
-        assert ev["enumeration"]["class_sizes"] == [2]
+        assert ev["enumeration"] == {"total_matchings": 2}
 
     def test_n11_case2_with_enumeration(self):
         cert = certify_coprime6(11)
@@ -35,7 +35,7 @@ class TestCertifyCoprime6:
         assert ev["case"] == 2 and ev["m"] == 6
         assert ev["min_coefficient"] >= 2
         assert ev["enumeration"] is not None
-        assert all(size >= 2 for size in ev["enumeration"]["class_sizes"])
+        assert ev["checks"]["matches_brute_genfun"] is True
 
     @pytest.mark.parametrize("n", [17, 19, 23])
     def test_enumerates_while_a_is_within_the_enumeration_bound(self, n):
@@ -45,16 +45,13 @@ class TestCertifyCoprime6:
         ev = cert.evidence
         genfun = GenPoly.from_json_terms(ev["genfun"])
         assert ev["enumeration"]["total_matchings"] == genfun.total()
-        assert all(size >= 2 for size in ev["enumeration"]["class_sizes"])
+        assert ev["checks"]["matches_brute_genfun"] is True
 
     @pytest.mark.parametrize("n", [7, 11, 13, 17, 19, 23])
     def test_enumeration_block_matches_the_report(self, n):
         ev = certify_coprime6(n).evidence
         report = acyclicity_report(standard_pair(n, ev["m"]))
-        assert ev["enumeration"] == {
-            "total_matchings": report.total_matchings,
-            "class_sizes": [size for _, size, _ in report.classes],
-        }
+        assert ev["enumeration"] == {"total_matchings": report.total_matchings}
 
     def test_n25_closed_form_only(self):
         cert = certify_coprime6(25)
@@ -68,11 +65,14 @@ class TestCertifyCoprime6:
         assert cert.verified
         assert cert.evidence["min_coefficient"] >= 2
 
-    def test_case1_modular_obstruction_recorded(self):
-        ev = certify_coprime6(13).evidence
-        obstruction = ev["modular_obstruction"]
-        assert obstruction["w0_zero_impossible"]
-        assert obstruction["w1_zero_impossible"]
+    @pytest.mark.parametrize(
+        "n,keys",
+        [(13, {"all_coefficients_ge_2", "closed_form_matches_transfer", "matches_brute_genfun"}),
+         (25, {"all_coefficients_ge_2", "closed_form_matches_transfer"})],
+    )
+    def test_checks_each_fact_once(self, n, keys):
+        ev = certify_coprime6(n).evidence
+        assert ev["checks"] == dict.fromkeys(keys, True)
 
     def test_polynomial_evidence_reverifies(self):
         for n in (7, 11, 13):

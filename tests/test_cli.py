@@ -260,6 +260,23 @@ class TestOptions:
         assert exc.value.code == 2
         assert "invalid choice: 'xml'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "5"],
+            ["verify-amp", "5"],
+            ["enumerate", "7", "--a", "0,1,3", "--b", "1,2,4"],
+            ["genfun", "7", "2"],
+            ["certify", "9"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_csv_outside_report_is_usage_error(self, capsys, argv):
+        code, out, err = run(["--format", "csv", *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --format csv applies only to report, not {argv[0]}\n"
+
     def test_config_variable_is_not_read(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("MATCHLAB_CONFIG", str(tmp_path / "missing.json"))
         code, out, err = run(["classify", "2"], capsys)

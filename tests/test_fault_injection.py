@@ -1,0 +1,130 @@
+"""Fault injection: every check that sets a certificate's ``verified`` fails
+when the route behind it gives a wrong answer, the certificate names it in
+``failed_checks``, and the CLI exits 1."""
+
+import json
+from types import SimpleNamespace
+
+import pytest
+
+from matchlab import certify, genfun
+from matchlab.certify import classify, failure_certificate
+from matchlab.cli import main
+from matchlab.genfun import C1, ZERO, GenPoly, transfer_genfun
+from matchlab.groups import GroupCtx
+
+
+def run(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _first_coefficient_set_to_1(poly: GenPoly) -> GenPoly:
+    terms = dict(poly.items())
+    terms[min(terms)] = 1
+    return GenPoly(terms)
+
+
+def _break_transfer(monkeypatch):
+    transfer = genfun.transfer_genfun
+    monkeypatch.setattr(
+        genfun, "transfer_genfun", lambda n, m: _first_coefficient_set_to_1(transfer(n, m))
+    )
+
+
+def _break_brute(monkeypatch):
+    brute = genfun.brute_genfun
+    monkeypatch.setattr(
+        genfun, "brute_genfun", lambda n, m: _first_coefficient_set_to_1(brute(n, m))
+    )
+
+
+def _every_route_has_a_coefficient_of_1(monkeypatch):
+    # the routes still agree, so only the minimum can catch it
+    by_method = genfun.genfun_by_method
+    monkeypatch.setattr(
+        genfun,
+        "genfun_by_method",
+        lambda method, n, m: _first_coefficient_set_to_1(by_method(method, n, m)),
+    )
+
+
+def _augmenting_paths_find_a_matching(monkeypatch):
+    monkeypatch.setattr(certify, "matching_exists", lambda pair: True)
+
+
+def _every_sum_avoids_a(monkeypatch):
+    # 1 lies outside <3> in Z/9Z, so N(A) = B; augmenting paths keep their
+    # right answer
+    monkeypatch.setattr(GroupCtx, "add", lambda self, x, y: 1)
+    monkeypatch.setattr(certify, "matching_exists", lambda pair: False)
+
+
+FAULTS = [
+    ("closed_form_matches_transfer", 13, _break_transfer),
+    ("matches_brute_genfun", 13, _break_brute),
+    ("all_coefficients_ge_2", 13, _every_route_has_a_coefficient_of_1),
+    ("no_matching_augmenting_paths", 9, _augmenting_paths_find_a_matching),
+    ("hall_violation", 9, _every_sum_avoids_a),
+]
+FAULT_IDS = [key for key, _, _ in FAULTS]
+
+
+@pytest.mark.parametrize("key,n,fault", FAULTS, ids=FAULT_IDS)
+def test_fault_fails_its_check_alone(monkeypatch, key, n, fault):
+    evidence = failure_certificate(n).evidence
+    assert all(evidence["checks"].values()) and "failed_checks" not in evidence
+    fault(monkeypatch)
+    cert = failure_certificate(n)
+    assert cert.verified is False
+    assert cert.evidence["checks"][key] is False
+    assert cert.evidence["failed_checks"] == [key]
+
+
+@pytest.mark.parametrize("key,n,fault", FAULTS, ids=FAULT_IDS)
+def test_fault_exits_1_with_the_evidence(monkeypatch, capsys, key, n, fault):
+    fault(monkeypatch)
+    code, out, _ = run(["certify", str(n)], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verified"] is False
+    assert payload["evidence"]["failed_checks"] == [key]
+    for argv in (["classify", str(n)], ["report", f"{n}..{n}"]):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"verification failure: evidence for Z/{n}Z failed to verify:")
+        assert f"'failed_checks': ['{key}']" in err
+
+
+def test_genfun_check_disagreement_exits_1(monkeypatch, capsys):
+    closed = genfun.closed_form_m2
+    monkeypatch.setattr(genfun, "closed_form_m2", lambda n: closed(n) + C1)
+    code, out, err = run(["genfun", "7", "2", "--check"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: method disagreement: ")
+    dump = json.loads(err.removeprefix("error: method disagreement: "))
+    assert dump == {"transfer": "2*c0*c1*c3^2", "brute": "2*c0*c1*c3^2",
+                    "closed": "c1 + 2*c0*c1*c3^2"}
+
+
+def test_integer_sample_failure_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(
+        certify, "acyclicity_report", lambda pair: SimpleNamespace(has_acyclic=False)
+    )
+    cert = classify("Z")
+    assert cert.verified is False
+    assert len(cert.evidence["failures"]) == cert.evidence["samples"]
+    code, out, _ = run(["classify", "Z"], capsys)
+    assert code == 1
+    assert out == "Z: fails (torsion_free_sampled)\n"
+
+
+def test_transfer_rejects_a_step_matrix_that_breaks_the_exponent_constraints(monkeypatch):
+    # c3 read as c1 in the first row: w0 + w1 + w3 still counts the steps,
+    # but 2*w0 + w1 + 1 = w3 + m no longer holds
+    monkeypatch.setattr(genfun, "STEP_MATRIX", ((ZERO, C1, ZERO), *genfun.STEP_MATRIX[1:]))
+    with pytest.raises(AssertionError, match="violates exponent constraints"):
+        transfer_genfun(10, 2)
