@@ -31,6 +31,7 @@ fixed seed and count.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -248,7 +249,8 @@ def classify(descriptor: str | int) -> Certificate:
     inner = failure_certificate(n)
     if not inner.verified:
         raise VerificationFailure(
-            f"evidence for Z/{n}Z failed to verify: {inner.to_json_dict()}"
+            f"evidence for Z/{n}Z failed to verify: "
+            f"{json.dumps(inner.to_json_dict(), sort_keys=True)}"
         )
     return Certificate(
         "classification",

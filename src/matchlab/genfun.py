@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .errors import BoundExceededError
+from .errors import BoundExceededError, VerificationFailure
 from .groups import cyclic
 from .matching import SubsetPair, acyclicity_report
 
@@ -183,7 +183,7 @@ def _check_exponent_constraints(p: GenPoly, n: int, m: int):
     2*w0 + w1 + 1 = w3 + m (the summation-bound constraints)."""
     for (w0, w1, w3), _ in p.items():
         if w0 + w1 + w3 != n - 3 or 2 * w0 + w1 + 1 != w3 + m:
-            raise AssertionError(
+            raise VerificationFailure(
                 f"term {(w0, w1, w3)} violates exponent constraints for n={n}, m={m}"
             )
 
@@ -209,7 +209,9 @@ def brute_genfun(n: int, m: int) -> GenPoly:
         counts = dict(key)
         extra = set(counts) - {0, 1, 3}
         if extra:
-            raise AssertionError(f"sum outside {{0,1,3}} for standard pair: {sorted(extra)}")
+            raise VerificationFailure(
+                f"class {key} has sums {sorted(extra)} outside {{0,1,3}} for n={n}, m={m}"
+            )
         terms[(counts.get(0, 0), counts.get(1, 0), counts.get(3, 0))] = size
     return GenPoly(terms)
 

@@ -35,9 +35,9 @@ class GroupCtx:
         return self.kind == "cyclic"
 
     def is_canonical(self, x: int) -> bool:
-        if self.is_cyclic:
-            return 0 <= x < self.modulus
-        return True
+        # one attribute read per call, as in add
+        n = self.modulus
+        return n is None or 0 <= x < n
 
     def add(self, x: int, y: int) -> int:
         """Group addition of canonical elements; result is canonical."""

@@ -29,7 +29,9 @@ when first read.
 route that tests compare it against.
 
 `SubsetPair` and `Matching` are slotted records that hold only their data;
-each engine builds the lookup set of A it needs once per call.
+each engine builds the lookup set of A it needs once per call.  Validating a
+`SubsetPair` makes a fixed number of Python calls per pair, and a sorted
+tuple the caller gives is kept, not copied.
 """
 
 from __future__ import annotations
@@ -74,17 +76,24 @@ class SubsetPair:
     def __post_init__(self):
         a = tuple(sorted(self.a))
         b = tuple(sorted(self.b))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        # a sorted tuple the caller gave is kept, so pairs built from one A
+        # share it
+        if a != self.a:
+            object.__setattr__(self, "a", a)
+        if b != self.b:
+            object.__setattr__(self, "b", b)
         if len(a) != len(b) or not a:
             raise ValueError(f"need |A| = |B| >= 1, got {len(a)} and {len(b)}")
         if len(set(a)) != len(a) or len(set(b)) != len(b):
             raise ValueError("duplicate elements in A or B")
         if 0 in b:
             raise ValueError("0 must not lie in B")
-        for x in a + b:
-            if not self.group.is_canonical(x):
-                raise ValueError(f"element {x} not canonical in {self.group.describe()}")
+        g = self.group
+        # the canonical elements form an interval, so the least and the
+        # largest element decide; the scan names the first offender
+        if not (g.is_canonical(min(a[0], b[0])) and g.is_canonical(max(a[-1], b[-1]))):
+            x = next(x for x in a + b if not g.is_canonical(x))
+            raise ValueError(f"element {x} not canonical in {g.describe()}")
 
     @property
     def size(self) -> int:

@@ -10,6 +10,7 @@ import pytest
 from matchlab import certify, genfun
 from matchlab.certify import classify, failure_certificate
 from matchlab.cli import main
+from matchlab.errors import VerificationFailure
 from matchlab.genfun import C1, ZERO, GenPoly, transfer_genfun
 from matchlab.groups import GroupCtx
 
@@ -94,8 +95,11 @@ def test_fault_exits_1_with_the_evidence(monkeypatch, capsys, key, n, fault):
         code, out, err = run(argv, capsys)
         assert code == 1
         assert out == ""
-        assert err.startswith(f"verification failure: evidence for Z/{n}Z failed to verify:")
-        assert f"'failed_checks': ['{key}']" in err
+        prefix = f"verification failure: evidence for Z/{n}Z failed to verify: "
+        assert err.startswith(prefix)
+        inner = json.loads(err.removeprefix(prefix))
+        assert inner["verified"] is False
+        assert inner["evidence"]["failed_checks"] == [key]
 
 
 def test_genfun_check_disagreement_exits_1(monkeypatch, capsys):
@@ -122,9 +126,34 @@ def test_integer_sample_failure_exits_1(monkeypatch, capsys):
     assert out == "Z: fails (torsion_free_sampled)\n"
 
 
-def test_transfer_rejects_a_step_matrix_that_breaks_the_exponent_constraints(monkeypatch):
+def _break_step_matrix(monkeypatch):
     # c3 read as c1 in the first row: w0 + w1 + w3 still counts the steps,
     # but 2*w0 + w1 + 1 = w3 + m no longer holds
     monkeypatch.setattr(genfun, "STEP_MATRIX", ((ZERO, C1, ZERO), *genfun.STEP_MATRIX[1:]))
-    with pytest.raises(AssertionError, match="violates exponent constraints"):
+
+
+def test_transfer_rejects_a_step_matrix_that_breaks_the_exponent_constraints(monkeypatch):
+    _break_step_matrix(monkeypatch)
+    with pytest.raises(VerificationFailure, match="violates exponent constraints"):
         transfer_genfun(10, 2)
+
+
+@pytest.mark.parametrize("argv", [["certify", "13"], ["genfun", "10", "2"]])
+def test_broken_step_matrix_exits_1_without_a_traceback(monkeypatch, capsys, argv):
+    _break_step_matrix(monkeypatch)
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification failure: term (")
+    assert "violates exponent constraints" in err
+    assert "Traceback" not in err
+
+
+def test_brute_rejects_a_sum_outside_0_1_3(monkeypatch, capsys):
+    stray = (((0, 1), (2, 3)), 1, None)
+    monkeypatch.setattr(genfun, "acyclicity_report", lambda pair: SimpleNamespace(classes=[stray]))
+    code, out, err = run(["genfun", "7", "2", "--method", "brute"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("verification failure: class ((0, 1), (2, 3)) has sums [2] outside {0,1,3}"
+                   " for n=7, m=2\n")

@@ -104,12 +104,32 @@ class TestSubsetPair:
             SubsetPair(cyclic(5), (1, 2), (1,))
 
     def test_rejects_non_canonical(self):
-        with pytest.raises(ValueError):
-            SubsetPair(cyclic(5), (7,), (1,))
+        # the message names the first offender of sorted A, then sorted B
+        cases = [(5, (7,), (1,), 7), (5, (1,), (-1,), -1), (8, (9, 2, 7), (1, 3, 12), 9),
+                 (8, (2, 7), (-3, 1), -3), (8, (2, 5), (1, 8), 8)]
+        for n, a, b, bad in cases:
+            with pytest.raises(ValueError, match=rf"^element {bad} not canonical in Z/{n}Z$"):
+                SubsetPair(cyclic(n), a, b)
 
     def test_sorts_elements(self):
-        p = SubsetPair(cyclic(7), (3, 1), (4, 2))
-        assert p.a == (1, 3) and p.b == (2, 4)
+        for a, b in [((3, 1), (4, 2)), ([3, 1], [4, 2]), ([1, 3], [2, 4])]:
+            p = SubsetPair(cyclic(7), a, b)
+            assert type(p.a) is tuple and type(p.b) is tuple
+            assert p.a == (1, 3) and p.b == (2, 4)
+
+    def test_keeps_the_callers_sorted_tuples(self):
+        a, b = (1, 3), (2, 4)
+        p = SubsetPair(cyclic(7), a, b)
+        assert p.a is a and p.b is b
+
+    def test_valid_pairs_share_one_a_per_distinct_a(self):
+        pairs = list(iter_valid_pairs(6))
+        assert len(pairs) == 461
+        assert len({p.a for p in pairs}) == len({id(p.a) for p in pairs}) == 62
+
+    def test_integers_accept_any_ints(self):
+        p = SubsetPair(integers(), (10**30, -(10**30), 0), (-7, 5, 2**70))
+        assert p.a == (-(10**30), 0, 10**30) and p.b == (-7, 5, 2**70)
 
     @pytest.mark.parametrize(
         "pair",
