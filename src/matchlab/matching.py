@@ -20,8 +20,10 @@ classes are decoded from the keys on first read, and the witness is the
 first class of size 1 among them.  Beyond that product it counts the
 matchings by a DP over the used elements of B, kept in one packed int while
 it fits in `PACKED_COUNT_BITS` bits (|A| <= 12) and in a dict beyond, then
-searches the classes in lex order of their vectors, passing over sums no
-state has an edge at, and stops at the first singleton, the witness; a
+searches the classes in lex order of their vectors and stops at the first
+singleton, the witness.  The search tests each state in one packed int
+expression, a field of k + 1 bits per element of A with a guard bit on
+top, and jumps over the sums at which no state has an edge left; a
 search that creates more than `total_matchings // SEARCH_BUDGET_DIVISOR`
 states gives way to the walk, and on the search side the classes are walked
 when first read.
@@ -320,6 +322,11 @@ def _edge_table(pair: SubsetPair) -> tuple[EdgeTable, tuple[int, ...], int]:
     return options, tuple(sorted(allowed_sums)), product
 
 
+# |A| -> the packed count's `lacks` masks, built on first use; at most one
+# entry per |A| <= 12
+_LACKS: dict[int, list[int]] = {}
+
+
 def _count_matchings(options: EdgeTable) -> int:
     """Number of matchings, by a DP over the bitmask of used elements of B.
 
@@ -329,20 +336,23 @@ def _count_matchings(options: EdgeTable) -> int:
     `(ways & lacks[j]) << (W << j)` per partner bit j of the row, where
     `lacks[j]` has ones in every field whose set lacks j; after i rows a
     field is at most i!, so no field carries.  The answer is the field of
-    the full set.  Larger pairs run the DP in a dict of bitmasks; the count
-    does not depend on the order of the rows, and taking the rows with
-    fewest partners first keeps fewer bitmasks alive.
+    the full set.  The masks depend on k alone, so they are built once per
+    k and kept in `_LACKS`.  Larger pairs run the DP in a dict of bitmasks;
+    the count does not depend on the order of the rows, and taking the rows
+    with fewest partners first keeps fewer bitmasks alive.
     """
     k = len(options)
     width = math.factorial(k).bit_length() + 1
     if width << k <= PACKED_COUNT_BITS:
-        # lacks[j] repeats 2**j fields of ones and 2**j fields of zeros
-        lacks = []
-        for j in range(k):
-            mask = (1 << (width << j)) - 1
-            for t in range(j + 1, k):
-                mask |= mask << (width << t)
-            lacks.append(mask)
+        lacks = _LACKS.get(k)
+        if lacks is None:
+            # lacks[j] repeats 2**j fields of ones and 2**j fields of zeros
+            lacks = _LACKS[k] = []
+            for j in range(k):
+                mask = (1 << (width << j)) - 1
+                for t in range(j + 1, k):
+                    mask |= mask << (width << t)
+                lacks.append(mask)
         ways = 1
         for row in options:
             nxt = 0
@@ -470,58 +480,84 @@ def _search(
     larger one.  The search therefore fixes the count of each distinct sum
     in ascending order, trying 1, 2, ... and then 0, and descends depth
     first.  A node holds the partial matchings that give its counts, merged
-    by (A left, B left) as bitmasks, each state with its number of partial
+    by (A left, B left), each state with its number of partial
     matchings and one of them.  Edges with one sum share no element, so the
     partial matchings a count c adds are the c-subsets of the state's edges
     at that sum with both ends left.  A state is dropped once an element of
     A left has no partner left at a larger sum.  A sum at which no state has
     an edge left allows only count 0 and drops no state, so the search
-    passes over it without forming subsets.  After the largest sum only the
-    state with nothing left survives, and its count is the class size: the
-    first count of 1 is the witness.  Raises `_SearchBudgetExceeded` before
-    creating more than `budget` states.
+    jumps over it without forming subsets, counting each state as created
+    once per sum passed over, as a visit of each sum would.  After the
+    largest sum only the state with nothing left survives, and its count is
+    the class size: the first count of 1 is the witness.  Raises
+    `_SearchBudgetExceeded` before creating more than `budget` states.
+
+    Both tests are one int expression per state.  A packed int has a field
+    of k + 1 bits per element a_i of A: its low k bits hold a set of B and
+    its top bit is a_i's guard bit.  The elements of A left are kept as
+    their guard bits, and each sum keeps the partners of every a_i at it
+    and at larger sums as one packed int each.  `left_b * rep` copies the
+    set of B left into every field; masked by partners and added to
+    `fill`, 2**k - 1 in every field, it sets the guard bit of exactly the
+    fields with a partner left, and no field carries into the next.
     """
     k = len(options)
+    last = len(sums) - 1
     rank = {s: r for r, s in enumerate(sums)}
-    # edges[r] = (bit of a_i, bit of b, edge number) per allowed pair with
-    # sum sums[r]; picks[edge number] = (i, b)
+    # field i of a packed int: bits width * i .. width * i + k, guard on top
+    width = k + 1
+    guard = 1 << k
+    rep = ((1 << width * k) - 1) // ((1 << width) - 1)  # a 1 in every field
+    fill = (guard - 1) * rep
+    # edges[r] = (guard bit of a_i, bit of b, 1 << edge number) per allowed
+    # pair with sum sums[r], edges numbered in the order of `options`.  at[r]
+    # and later[r]: field i holds a_i's partners at sums[r] and at sums
+    # above it
     edges: list[list[tuple[int, int, int]]] = [[] for _ in sums]
-    picks = []
+    at = [0] * len(sums)
+    e_bit = 1
     for i, row in enumerate(options):
-        for b, bit, s in row:
-            edges[rank[s]].append((1 << i, bit, len(picks)))
-            picks.append((i, b))
-    # later[r] = (bit of a_i, bitmask of a_i's partners at sums above sums[r])
-    later = [None] * len(sums)
-    above = [0] * k
-    for r in reversed(range(len(sums))):
-        later[r] = [(1 << i, mask) for i, mask in enumerate(above)]
-        for _, b_bit, e in edges[r]:
-            above[picks[e][0]] |= b_bit
+        shift = width * i
+        a_bit = guard << shift
+        for _, bit, s in row:
+            r = rank[s]
+            edges[r].append((a_bit, bit, e_bit))
+            at[r] |= bit << shift
+            e_bit <<= 1
+    later = [0] * len(sums)
+    above = 0
+    for r in range(last, -1, -1):
+        later[r] = above
+        above |= at[r]
     created = 0
 
     def descend(r, states):
         nonlocal created
-        while True:
-            # each state with the edges at sums[r] it can still take
-            free = []
-            for (left_a, left_b), (ways, picked) in states.items():
-                avail = [e for e in edges[r] if left_a & e[0] and left_b & e[1]]
-                free.append((left_a, left_b, ways, picked, avail))
-            if any(avail for *_, avail in free):
-                break
-            # Count 0 only.  Each state passed the drop test against its
-            # partners at this sum and above, and has none at this sum, so
-            # it is kept as it is.
-            created += len(states)
-            if created > budget:
-                raise _SearchBudgetExceeded
-            if r == len(sums) - 1:
-                # only the state with nothing left gets here
-                ways, picked = states[0, 0]
-                return picked if ways == 1 else None
-            r += 1
-        last = r == len(sums) - 1
+        # A sum at which no state has an edge left allows count 0 only and
+        # keeps every state, each of which passed the drop test against its
+        # partners at that sum and above.  Jump to the first sum from
+        # sums[r] on with an edge left, each state counting as created once
+        # per sum passed over.
+        live = last + 1
+        for left_a, left_b in states:
+            spread = left_b * rep
+            for t in range(r, live):
+                if left_a & ((spread & at[t]) + fill):
+                    live = t
+                    break
+        created += len(states) * (live - r)
+        if created > budget:
+            raise _SearchBudgetExceeded
+        if live > last:
+            # only the state with nothing left gets here
+            ways, picked = states[0, 0]
+            return picked if ways == 1 else None
+        r = live
+        # each state with the edges at sums[r] it can still take
+        free = []
+        for (left_a, left_b), (ways, picked) in states.items():
+            avail = [e for e in edges[r] if left_a & e[0] and left_b & e[1]]
+            free.append((left_a, left_b, ways, picked, avail))
         later_r = later[r]
         most = max(len(avail) for *_, avail in free)
         for c in (*range(1, most + 1), 0):
@@ -532,11 +568,14 @@ def _search(
             for left_a, left_b, ways, picked, avail in free:
                 for combo in itertools.combinations(avail, c):
                     ra, rb, p = left_a, left_b, picked
-                    for a_bit, b_bit, e in combo:
+                    for a_bit, b_bit, e_bit in combo:
                         ra ^= a_bit
                         rb ^= b_bit
-                        p |= 1 << e
-                    if any(ra & a_bit and not rb & mask for a_bit, mask in later_r):
+                        p |= e_bit
+                    # drop the state if some a_i left finds no partner left
+                    # in its field: adding fill carries into the guard bit
+                    # of exactly the fields that are not empty
+                    if ra & ~((rb * rep & later_r) + fill):
                         continue
                     entry = merged.get((ra, rb))
                     if entry is None:
@@ -545,7 +584,7 @@ def _search(
                         entry[0] += ways
             if not merged:
                 continue
-            if not last:
+            if r < last:
                 found = descend(r + 1, merged)
                 if found is not None:
                     return found
@@ -553,9 +592,10 @@ def _search(
                 return merged[0, 0][1]
         return None
 
-    picked = descend(0, {((1 << k) - 1, (1 << k) - 1): [1, 0]})
+    picked = descend(0, {(guard * rep, (1 << k) - 1): [1, 0]})
     if picked is None:
         return None
+    picks = [(i, b) for i, row in enumerate(options) for b, _, _ in row]
     assignment = [0] * k
     while picked:
         low = picked & -picked

@@ -66,6 +66,37 @@ def count_matchings(pair):
     return sum(ways.values())
 
 
+def class_size(pair, vector):
+    """Number of matchings of `pair` with multiplicity vector `vector`
+    ((sum, count), ...), by a DP over the rows of A whose state is the set of
+    B used and the count still owed per sum.  It goes row by row where the
+    search goes sum by sum, and calls no engine code."""
+    a_set = set(pair.a)
+    rank = {s: r for r, (s, _) in enumerate(vector)}
+    ways = {(0, tuple(c for _, c in vector)): 1}
+    for a in pair.a:
+        nxt = {}
+        for (used, owed), count in ways.items():
+            for j, b in enumerate(pair.b):
+                s = pair.group.add(a, b)
+                r = rank.get(s)
+                if used >> j & 1 or s in a_set or r is None or not owed[r]:
+                    continue
+                key = (used | 1 << j, owed[:r] + (owed[r] - 1,) + owed[r + 1:])
+                nxt[key] = nxt.get(key, 0) + count
+        ways = nxt
+    return sum(ways.values())
+
+
+def witness_class_size(pair, assignment):
+    """`class_size` of the class of the matching `assignment`."""
+    counts = {}
+    for a, b in zip(pair.a, assignment):
+        s = pair.group.add(a, b)
+        counts[s] = counts.get(s, 0) + 1
+    return class_size(pair, tuple(sorted(counts.items())))
+
+
 @pytest.fixture
 def walks(monkeypatch):
     """The calls made to the walk over every matching."""
@@ -318,6 +349,12 @@ class TestAcyclicityReport:
                 pairs += 1
         assert len(walks) == pairs
 
+    def test_class_size_matches_enumeration(self):
+        for n in (5, 6, 7):
+            for pair in iter_valid_pairs(n):
+                for vector, size, _ in reference_report(pair)[1]:
+                    assert class_size(pair, vector) == size
+
     def test_every_pair_of_z10_is_walked(self):
         # an exhaustive sweep of Z/10Z never reaches the count or the
         # search, whatever changes there; the largest product is 3,125
@@ -345,6 +382,8 @@ class TestAcyclicityReport:
             # on the search side `classes` walks; on the walk side the report did
             assert len(walks) == 1
         assert searched[0] == searched[1]
+        if searched[0] and witness is not None:
+            assert witness_class_size(pair, witness) == 1
         return searched[0]
 
     def test_report_matches_enumeration_on_dense_pairs_in_z(self, walks):
@@ -410,6 +449,66 @@ class TestAcyclicityReport:
         assert r.total_matchings == count_matchings(pair)
         assert r.has_acyclic
         assert is_matching(pair, r.acyclic_witness.assignment)
+        assert witness_class_size(pair, r.acyclic_witness.assignment) == 1
+
+    @staticmethod
+    def search_side_pairs(rng):
+        """Seeded pairs whose degree product is above the walk's limit and
+        that have 1 to 3,000 matchings, so that the walk stays quick: four
+        pairs of Z/nZ for each n = 11..16 (no pair of Z/10Z or below is above
+        the limit), Z/16Z with |A| = 13 and 14, and two pairs of Z for each
+        |A| = 6..13 in [-12, 12].  In Z, A is drawn from a window of |A| + 2
+        elements, where a dense pair has few enough matchings."""
+
+        def cyclic_pair(n, k):
+            a, b = rng.sample(range(n), k), rng.sample(range(1, n), k)
+            return SubsetPair(cyclic(n), tuple(sorted(a)), tuple(sorted(b)))
+
+        def integer_pair(k):
+            low = rng.randrange(-12, 12 - k)
+            a = rng.sample(range(low, low + k + 2), k)
+            b = rng.sample([x for x in range(-12, 13) if x], k)
+            return SubsetPair(integers(), tuple(sorted(a)), tuple(sorted(b)))
+
+        draws = [lambda n=n: cyclic_pair(n, rng.randrange(n // 2, n))
+                 for n in range(11, 17) for _ in range(4)]
+        draws += [lambda k=k: cyclic_pair(16, k) for k in (13, 14)]
+        draws += [lambda k=k: integer_pair(k) for k in range(6, 14) for _ in range(2)]
+        for draw in draws:
+            while True:
+                pair = draw()
+                if (degree_product(pair) > WALK_DEGREE_PRODUCT
+                        and 0 < TestCountMatchings.count(pair) <= 3000):
+                    yield pair
+                    break
+
+    def test_search_matches_the_walk_on_search_side_pairs(self):
+        # without a budget the search answers the first class of size 1
+        # among the walk's sorted classes, or None; |A| >= 13 makes the
+        # packed fields wider than 13 bits
+        sizes = []
+        for pair in self.search_side_pairs(random.Random(18)):
+            options, sums, _ = matchlab.matching._edge_table(pair)
+            walked = next((m.assignment for _, size, m in acyclicity_report(pair).classes
+                           if size == 1), None)
+            assert matchlab.matching._search(options, sums, math.inf) == walked
+            sizes.append(pair.size)
+        assert len(sizes) == 42 and max(sizes) == 14
+
+    def test_search_budget_is_its_state_count(self):
+        # the search creates exactly 102 states before it finds this pair's
+        # witness; on the way it passes 36 times over a sum at which no state
+        # has an edge left, 10 times with more than one state.  Budget 102 is
+        # enough, 101 is not
+        pair = SubsetPair(
+            integers(), (-9, -8, -5, -4, -3, -1, 3, 4, 5), (-8, -6, -4, -3, -2, 4, 5, 8, 9)
+        )
+        options, sums, _ = matchlab.matching._edge_table(pair)
+        witness = (-8, -6, -2, 4, -3, 9, 5, 8, -4)
+        assert matchlab.matching._search(options, sums, 102) == witness
+        with pytest.raises(matchlab.matching._SearchBudgetExceeded):
+            matchlab.matching._search(options, sums, 101)
+        assert witness_class_size(pair, witness) == 1
 
     def test_single_matching_at_size_20(self):
         # a + f(a) must leave A = {0..19}, so f(a) = 20 - a is the only
