@@ -5,15 +5,17 @@ Verbs: classify, verify-amp, enumerate, genfun, certify, report.
 Global options are --format and --out; csv is a format of report only, and
 certify prints JSON in either other format.  The only bound a user sets is
 verify-amp's --bound on the group order; the enumeration bound, the
-exhaustive bound of classify and report, the symmetry reduction and the
-integer sample's seed and count are module constants.
+enumerate verb's listing bound, the exhaustive bound of classify and report,
+the symmetry reduction and the integer sample's seed and count are module
+constants.
 
 Exit codes: 0 success, 1 verification failure (a claim failed to re-verify;
 diagnostic dump emitted), 2 usage error (also genfun --check when fewer than
 two methods apply), 3 resource bound exceeded (|A| past the enumeration bound
-in enumerate and genfun --method brute, or a group order past verify-amp's
---bound).  Reports are byte-identical for identical inputs; wall time lives in
-a separate metadata block, never in data rows.
+in enumerate and genfun --method brute, more matchings than enumerate's
+`LISTING_BOUND`, or a group order past verify-amp's --bound).  Reports are
+byte-identical for identical inputs; wall time lives in a separate metadata
+block, never in data rows.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
+# enumerate lists the classes of at most this many matchings; listing them
+# walks every matching and keeps every class, about 1 GB at 10**6
+LISTING_BOUND = 10**6
 
 
 def _emit(text: str, path: str | None):
@@ -145,6 +150,10 @@ def cmd_enumerate(args) -> int:
     g = integers() if descriptor == "Z" else cyclic(descriptor)
     pair = SubsetPair(g, args.a, args.b)
     report = acyclicity_report(pair)
+    if report.total_matchings > LISTING_BOUND:
+        raise BoundExceededError(
+            f"{report.total_matchings} matchings exceed the listing bound {LISTING_BOUND}"
+        )
     payload = {
         "group": g.describe(),
         "a": list(pair.a),

@@ -5,10 +5,10 @@ a + f(a) not in A for every a.  Its multiplicity vector counts, for each group
 element x, how many a satisfy a + f(a) = x.  A matching is acyclic when no
 other matching shares its multiplicity vector.
 
-This module decides matching existence (augmenting paths), enumerates all
-matchings (backtracking), buckets them by multiplicity vector, and runs
-exhaustive verification of the acyclic matching property over every valid
-subset pair of a small cyclic group.  `acyclicity_report` builds the
+This module decides matching existence (augmenting paths), buckets all
+matchings by multiplicity vector, and runs exhaustive verification of the
+acyclic matching property over every valid subset pair of a small cyclic
+group.  `acyclicity_report` builds the
 pair's allowed edges and picks one of two sides from the product of the row
 degrees, which bounds the number of matchings.  Up to `WALK_DEGREE_PRODUCT`
 it walks every matching, keyed by one int, a digit per distinct allowed sum
@@ -27,8 +27,6 @@ top, and jumps over the sums at which no state has an edge left; a
 search that creates more than `total_matchings // SEARCH_BUDGET_DIVISOR`
 states gives way to the walk, and on the search side the classes are walked
 when first read.
-`enumerate_matchings` with `multiplicity` is the independent reference
-route that tests compare it against.
 
 `SubsetPair` and `Matching` are slotted records that hold only their data;
 each engine builds the lookup set of A it needs once per call.  Validating a
@@ -126,16 +124,6 @@ def is_matching(pair: SubsetPair, assignment: tuple[int, ...] | list[int]) -> bo
     return True
 
 
-def multiplicity(m: Matching) -> MultiplicityVector:
-    """Counts of the sums a + f(a), sorted by element."""
-    g = m.pair.group
-    counts: dict[int, int] = {}
-    for a, fa in zip(m.pair.a, m.assignment):
-        s = g.add(a, fa)
-        counts[s] = counts.get(s, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
 def matching_exists(pair: SubsetPair) -> bool:
     """Decide matching existence via augmenting paths on the bipartite
     compatibility graph: edge (a, b) iff a + b not in A."""
@@ -162,44 +150,6 @@ def matching_exists(pair: SubsetPair) -> bool:
     # refcount rather than leaving them to the cyclic collector
     del augment
     return matched == pair.size
-
-
-def enumerate_matchings(pair: SubsetPair) -> Iterator[Matching]:
-    """Yield every matching exactly once, in lexicographic order of the
-    assignment array.
-
-    The backtracking walks A in ascending order and tries each element's
-    partners in ascending order of B, so assignments come out in
-    lexicographic order without a sort.
-    """
-    if pair.size > ENUMERATION_BOUND:
-        raise BoundExceededError(f"|A| = {pair.size} exceeds enumeration bound {ENUMERATION_BOUND}")
-    g = pair.group
-    a_set = frozenset(pair.a)
-    # candidates[i] = elements of B that the i-th element of A may be matched to
-    candidates = [
-        [b for b in pair.b if g.add(a, b) not in a_set]
-        for a in pair.a
-    ]
-    results: list[tuple[int, ...]] = []
-    partner = [0] * pair.size  # partner[i] = b matched to the i-th element of A
-    used = dict.fromkeys(pair.b, False)
-
-    def backtrack(i: int):
-        if i == pair.size:
-            results.append(tuple(partner))
-            return
-        for b in candidates[i]:
-            if used[b]:
-                continue
-            used[b] = True
-            partner[i] = b
-            backtrack(i + 1)
-            used[b] = False
-
-    backtrack(0)
-    for assignment in results:
-        yield Matching(pair, assignment)
 
 
 @dataclass(frozen=True)
@@ -382,12 +332,11 @@ def _walk(
     (a, b), where r is the rank of a + b in `sums` and width is
     `k.bit_length()`.  A count never exceeds k < 2**width, so no digit
     carries: the key encodes the multiplicity vector and is determined by
-    it.  The walk backtracks over the first ceil(k/2) elements of A in the
-    order of `enumerate_matchings` (A ascending, each partner tried in
-    ascending order of B), keeping the used elements of B as a bitmask.  The
-    completions of the other elements depend only on the set of B left.  The
-    first time a prefix leaves a set, its completions are walked once and
-    kept as key part -> (count, first completion); a set no prefix leaves is
+    it.  The walk backtracks over the first ceil(k/2) elements of A in
+    ascending order, trying each one's partners in ascending order of B, and
+    keeps the used elements of B as a bitmask.  The completions of the other
+    elements depend only on the set of B left.  The first time a prefix
+    leaves a set, its completions are walked once and kept as key part -> (count, first completion); a set no prefix leaves is
     never walked.  Each prefix adds its key to the parts, so sizes and first
     matchings come out as one walk over whole matchings in assignment order
     gives them.

@@ -5,7 +5,7 @@ import shlex
 
 import pytest
 
-from matchlab import genfun
+from matchlab import cli, genfun
 from matchlab.cli import main
 
 
@@ -242,6 +242,28 @@ class TestOptions:
             assert code == 3
             assert out == ""
             assert err == "error: |A| = 21 exceeds enumeration bound 20\n"
+
+    def test_listing_bound_exits_3(self, capsys):
+        # 228,732,066 matchings: the count answers at once, listing their
+        # classes would walk every one
+        argv = ["enumerate", "Z", "--a", "-12,-11,-10,-9,-8,-7,-4,-2,4,5,6,9,11,12",
+                "--b", "-11,-9,-7,-5,-4,-1,1,2,3,5,7,8,10,12"]
+        code, out, err = run(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "error: 228732066 matchings exceed the listing bound 1000000\n"
+
+    def test_listing_bound_is_inclusive(self, capsys, monkeypatch):
+        argv = ["enumerate", "Z", "--a", "-9,-5,-3,0,2,4,7,8", "--b", "-8,-6,-2,1,3,5,6,9"]
+        monkeypatch.setattr(cli, "LISTING_BOUND", 3779)
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert "matchings: 3779" in out
+        monkeypatch.setattr(cli, "LISTING_BOUND", 3778)
+        code, out, err = run(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "error: 3779 matchings exceed the listing bound 3778\n"
 
     def test_verify_amp_bound(self, capsys):
         code, out, err = run(["verify-amp", "9"], capsys)
