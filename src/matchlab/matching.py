@@ -23,10 +23,12 @@ it fits in `PACKED_COUNT_BITS` bits (|A| <= 12) and in a dict beyond, then
 searches the classes in lex order of their vectors and stops at the first
 singleton, the witness.  The search tests each state in one packed int
 expression, a field of k + 1 bits per element of A with a guard bit on
-top, and jumps over the sums at which no state has an edge left; a
-search that creates more than `total_matchings // SEARCH_BUDGET_DIVISOR`
-states gives way to the walk, and on the search side the classes are walked
-when first read.
+top, reads a state's free edges at a sum as one such int, a bit per edge,
+steps a level with one state and one free edge without forming subsets,
+and jumps over the sums at which no state has an edge left; a search that
+creates more than `total_matchings // SEARCH_BUDGET_DIVISOR` states gives
+way to the walk, and on the search side the classes are walked when first
+read.
 
 `SubsetPair` and `Matching` are slotted records that hold only their data;
 each engine builds the lookup set of A it needs once per call.  Validating a
@@ -272,9 +274,9 @@ def _edge_table(pair: SubsetPair) -> tuple[EdgeTable, tuple[int, ...], int]:
     return options, tuple(sorted(allowed_sums)), product
 
 
-# |A| -> the packed count's `lacks` masks, built on first use; at most one
-# entry per |A| <= 12
-_LACKS: dict[int, list[int]] = {}
+# |A| -> the packed count's {partner bit: (lacks mask, shift)}, built on
+# first use; at most one entry per |A| <= 12
+_LACKS: dict[int, dict[int, tuple[int, int]]] = {}
 
 
 def _count_matchings(options: EdgeTable) -> int:
@@ -283,11 +285,12 @@ def _count_matchings(options: EdgeTable) -> int:
     While the whole DP vector fits in `PACKED_COUNT_BITS` bits (|A| <= 12),
     it is one int: field m, W = `(k!).bit_length() + 1` bits wide, holds the
     number of partial matchings onto the set m of B.  A row step adds
-    `(ways & lacks[j]) << (W << j)` per partner bit j of the row, where
-    `lacks[j]` has ones in every field whose set lacks j; after i rows a
-    field is at most i!, so no field carries.  The answer is the field of
-    the full set.  The masks depend on k alone, so they are built once per
-    k and kept in `_LACKS`.  Larger pairs run the DP in a dict of bitmasks;
+    `(ways & mask) << shift` per partner of the row, where for the partner
+    bit 1 << j, `lacks[1 << j]` is (mask, shift): the mask has ones in every
+    field whose set lacks j, and the shift is W << j.  After i rows a field
+    is at most i!, so no field carries.  The answer is the field of the full
+    set.  The masks depend on k alone, so they are built once per k and
+    kept in `_LACKS`.  Larger pairs run the DP in a dict of bitmasks;
     the count does not depend on the order of the rows, and taking the rows
     with fewest partners first keeps fewer bitmasks alive.
     """
@@ -296,19 +299,20 @@ def _count_matchings(options: EdgeTable) -> int:
     if width << k <= PACKED_COUNT_BITS:
         lacks = _LACKS.get(k)
         if lacks is None:
-            # lacks[j] repeats 2**j fields of ones and 2**j fields of zeros
-            lacks = _LACKS[k] = []
+            # the mask of bit 1 << j repeats 2**j fields of ones and
+            # 2**j fields of zeros
+            lacks = _LACKS[k] = {}
             for j in range(k):
                 mask = (1 << (width << j)) - 1
                 for t in range(j + 1, k):
                     mask |= mask << (width << t)
-                lacks.append(mask)
+                lacks[1 << j] = (mask, width << j)
         ways = 1
         for row in options:
             nxt = 0
             for _, bit, _ in row:
-                j = bit.bit_length() - 1
-                nxt += (ways & lacks[j]) << (width << j)
+                mask, shift = lacks[bit]
+                nxt += (ways & mask) << shift
             ways = nxt
         return ways >> ((width << k) - width)
     ways = {0: 1}
@@ -441,14 +445,24 @@ def _search(
     the class size: the first count of 1 is the witness.  Raises
     `_SearchBudgetExceeded` before creating more than `budget` states.
 
-    Both tests are one int expression per state.  A packed int has a field
-    of k + 1 bits per element a_i of A: its low k bits hold a set of B and
-    its top bit is a_i's guard bit.  The elements of A left are kept as
-    their guard bits, and each sum keeps the partners of every a_i at it
-    and at larger sums as one packed int each.  `left_b * rep` copies the
-    set of B left into every field; masked by partners and added to
-    `fill`, 2**k - 1 in every field, it sets the guard bit of exactly the
-    fields with a partner left, and no field carries into the next.
+    Both tests, and a state's free edges, are one int expression per
+    state.  A packed int has a field of k + 1 bits per element a_i of A:
+    its low k bits hold a set of B and its top bit is a_i's guard bit.  The
+    elements of A left are kept as their guard bits, and each sum keeps the
+    partners of every a_i at it and at larger sums as one packed int each.
+    `left_b * rep` copies the set of B left into every field; masked by
+    partners and added to `fill`, 2**k - 1 in every field, it sets the
+    guard bit of exactly the fields with a partner left, and no field
+    carries into the next.  Masked by the partners at the sum and by the
+    fields of A left, it is the state's free edges there: bit j of field i
+    is the edge (a_i, b_j).  Any c of these bits form a c-subset, held as
+    their sum e: `e + fill` carries into the guard bits of their elements
+    of A, and `e % fold`, the sum of e's fields, is the set of their
+    elements of B.  A state's partial matching is the sum of its chosen
+    edges, one bit per field once A is used up.  A level with one state and
+    one free edge, the most common one, tries count 1 and then count 0
+    without forming subsets or merging.  A level's free edges are split
+    into bits only once its budget allows count 1.
     """
     k = len(options)
     last = len(sums) - 1
@@ -456,23 +470,17 @@ def _search(
     # field i of a packed int: bits width * i .. width * i + k, guard on top
     width = k + 1
     guard = 1 << k
-    rep = ((1 << width * k) - 1) // ((1 << width) - 1)  # a 1 in every field
-    fill = (guard - 1) * rep
-    # edges[r] = (guard bit of a_i, bit of b, 1 << edge number) per allowed
-    # pair with sum sums[r], edges numbered in the order of `options`.  at[r]
-    # and later[r]: field i holds a_i's partners at sums[r] and at sums
-    # above it
-    edges: list[list[tuple[int, int, int]]] = [[] for _ in sums]
+    ones = guard - 1  # the set of all of B, or the low k bits of a field
+    fold = (1 << width) - 1
+    rep = ((1 << width * k) - 1) // fold  # a 1 in every field
+    fill = ones * rep
+    # at[r] and later[r]: field i holds a_i's partners at sums[r] and at
+    # sums above it
     at = [0] * len(sums)
-    e_bit = 1
     for i, row in enumerate(options):
         shift = width * i
-        a_bit = guard << shift
         for _, bit, s in row:
-            r = rank[s]
-            edges[r].append((a_bit, bit, e_bit))
-            at[r] |= bit << shift
-            e_bit <<= 1
+            at[rank[s]] |= bit << shift
     later = [0] * len(sums)
     above = 0
     for r in range(last, -1, -1):
@@ -502,25 +510,45 @@ def _search(
             ways, picked = states[0, 0]
             return picked if ways == 1 else None
         r = live
-        # each state with the edges at sums[r] it can still take
-        free = []
-        for (left_a, left_b), (ways, picked) in states.items():
-            avail = [e for e in edges[r] if left_a & e[0] and left_b & e[1]]
-            free.append((left_a, left_b, ways, picked, avail))
-        later_r = later[r]
-        most = max(len(avail) for *_, avail in free)
-        for c in (*range(1, most + 1), 0):
-            created += sum(math.comb(len(avail), c) for *_, avail in free)
+        at_r, later_r = at[r], later[r]
+        if len(states) == 1:
+            [((left_a, left_b), (ways, picked))] = states.items()
+            edges = left_b * rep & at_r & (left_a >> k) * ones
+            if not edges & (edges - 1):
+                # one free edge: count 1 takes it, count 0 keeps the state,
+                # one state created for each
+                for e in (edges, 0):
+                    created += 1
+                    if created > budget:
+                        raise _SearchBudgetExceeded
+                    ra = left_a & ~(e + fill)
+                    rb = left_b ^ e % fold
+                    if ra & ~((rb * rep & later_r) + fill):
+                        continue
+                    if r < last:
+                        found = descend(r + 1, {(ra, rb): [ways, picked | e]})
+                        if found is not None:
+                            return found
+                    elif ways == 1:
+                        return picked | e
+                return None
+        # each state with its free edges at sums[r] as one int
+        free = [(left_a, left_b, ways, picked, left_b * rep & at_r & (left_a >> k) * ones)
+                for (left_a, left_b), (ways, picked) in states.items()]
+        sizes = [edges.bit_count() for *_, edges in free]
+        for c in (*range(1, max(sizes) + 1), 0):
+            created += sum(math.comb(n, c) for n in sizes)
             if created > budget:
                 raise _SearchBudgetExceeded
+            if c == 1:
+                # the free edges one bit each, split once count 1 is in budget
+                free = [(left_a, left_b, ways, picked, _bits(edges))
+                        for left_a, left_b, ways, picked, edges in free]
             merged: dict[tuple[int, int], list] = {}
-            for left_a, left_b, ways, picked, avail in free:
-                for combo in itertools.combinations(avail, c):
-                    ra, rb, p = left_a, left_b, picked
-                    for a_bit, b_bit, e_bit in combo:
-                        ra ^= a_bit
-                        rb ^= b_bit
-                        p |= e_bit
+            for left_a, left_b, ways, picked, bits in free:
+                for e in map(sum, itertools.combinations(bits, c)):
+                    ra = left_a & ~(e + fill)
+                    rb = left_b ^ e % fold
                     # drop the state if some a_i left finds no partner left
                     # in its field: adding fill carries into the guard bit
                     # of exactly the fields that are not empty
@@ -528,7 +556,7 @@ def _search(
                         continue
                     entry = merged.get((ra, rb))
                     if entry is None:
-                        merged[ra, rb] = [ways, p]
+                        merged[ra, rb] = [ways, picked | e]
                     else:
                         entry[0] += ways
             if not merged:
@@ -541,17 +569,26 @@ def _search(
                 return merged[0, 0][1]
         return None
 
-    picked = descend(0, {(guard * rep, (1 << k) - 1): [1, 0]})
+    picked = descend(0, {(guard * rep, ones): [1, 0]})
     if picked is None:
         return None
-    picks = [(i, b) for i, row in enumerate(options) for b, _, _ in row]
-    assignment = [0] * k
-    while picked:
-        low = picked & -picked
-        i, b = picks[low.bit_length() - 1]
-        assignment[i] = b
-        picked ^= low
+    # field i of picked holds the bit of a_i's partner
+    assignment = []
+    for row in options:
+        b_bit = picked & ones
+        assignment.append(next(b for b, bit, _ in row if bit == b_bit))
+        picked >>= width
     return tuple(assignment)
+
+
+def _bits(x: int) -> list[int]:
+    """The set bits of x, lowest first, as powers of two."""
+    bits = []
+    while x:
+        low = x & -x
+        bits.append(low)
+        x ^= low
+    return bits
 
 
 def iter_valid_pairs(n: int) -> Iterator[SubsetPair]:

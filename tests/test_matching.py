@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import matchlab.matching
 from matchlab.errors import BoundExceededError
@@ -30,6 +30,31 @@ def integer_pairs(draw, max_size=4, span=6):
         st.sets(st.sampled_from([x for x in universe if x != 0]), min_size=k, max_size=k)
     )
     return SubsetPair(integers(), tuple(sorted(a)), tuple(sorted(b)))
+
+
+@st.composite
+def searched_pairs(draw):
+    """A pair of Z with |A| = 7..10, A in a window of |A| + 2 elements and
+    B in [-12, 12], or a pair of Z/nZ with n = 11..16 and |A| = n/2..n - 1;
+    only pairs whose degree product is above the walk's limit and that have
+    1 to 3,000 matchings are kept, so that the walk stays quick."""
+    if draw(st.booleans()):
+        k = draw(st.integers(7, 10))
+        low = draw(st.integers(-12, 11 - k))
+        a = draw(st.sets(st.integers(low, low + k + 1), min_size=k, max_size=k))
+        b = draw(st.sets(st.sampled_from([x for x in range(-12, 13) if x]),
+                         min_size=k, max_size=k))
+        group = integers()
+    else:
+        n = draw(st.integers(11, 16))
+        k = draw(st.integers(n // 2, n - 1))
+        a = draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k))
+        b = draw(st.sets(st.integers(1, n - 1), min_size=k, max_size=k))
+        group = cyclic(n)
+    pair = SubsetPair(group, tuple(sorted(a)), tuple(sorted(b)))
+    assume(degree_product(pair) > WALK_DEGREE_PRODUCT)
+    assume(0 < TestCountMatchings.count(pair) <= 3000)
+    return pair
 
 
 def degree_product(pair):
@@ -472,6 +497,14 @@ class TestAcyclicityReport:
             sizes.append(pair.size)
         assert len(sizes) == 42 and max(sizes) == 14
 
+    @settings(max_examples=100, deadline=None)
+    @given(searched_pairs())
+    def test_search_matches_the_walk_on_drawn_pairs(self, pair):
+        options, sums, _ = matchlab.matching._edge_table(pair)
+        walked = next((m.assignment for _, size, m in acyclicity_report(pair).classes
+                       if size == 1), None)
+        assert matchlab.matching._search(options, sums, math.inf) == walked
+
     def test_search_budget_is_its_state_count(self):
         # the search creates exactly 102 states before it finds this pair's
         # witness; on the way it passes 36 times over a sum at which no state
@@ -486,6 +519,36 @@ class TestAcyclicityReport:
         with pytest.raises(matchlab.matching._SearchBudgetExceeded):
             matchlab.matching._search(options, sums, 101)
         assert witness_class_size(pair, witness) == 1
+
+    # (modulus, 0 for Z; A; B; the least budget that answers)
+    SEARCH_STATE_COUNTS = [
+        # every level has one state with one free edge
+        (0, (-10, -9, -4, 0, 2, 3, 6, 8), (-12, -9, -6, 1, 2, 3, 4, 9), 25),
+        # levels with two or three states, and counts of 2
+        (0, (-12, -5, 0, 2, 4, 8, 10, 11), (-11, -8, -3, -2, 2, 7, 9, 10), 36),
+        (0, (-12, -7, -6, -1, 2, 4, 7, 8, 10), (-10, -5, -2, 1, 2, 4, 7, 10, 11), 49),
+        # |A| = 13 and 14, with up to 20 states at a level
+        (0, (-5, -4, -3, -2, -1, 0, 2, 3, 4, 5, 6, 8, 9),
+         (-10, -9, -7, -6, -5, -4, 1, 3, 4, 6, 8, 10, 12), 421),
+        (0, (-10, -9, -8, -7, -6, -4, -3, -2, -1, 0, 1, 2, 3, 4),
+         (-12, -11, -9, -8, -6, -4, -3, 1, 2, 5, 6, 7, 8, 10), 876),
+        # Z/nZ: levels with up to 21 states and 5 free edges per state
+        (13, (3, 4, 5, 6, 7, 9, 11), (1, 2, 4, 5, 7, 8, 10), 151),
+        (16, (0, 1, 2, 3, 4, 6, 7, 13), (1, 2, 4, 7, 9, 10, 11, 14), 326),
+        # the pair of `test_search_exhausts_when_no_class_is_a_singleton`
+        (14, (0, 1, 3, 5, 7, 8, 9, 10, 11, 13), (1, 2, 3, 4, 5, 7, 8, 9, 11, 13), 13610),
+    ]
+
+    @pytest.mark.parametrize("n, a, b, budget", SEARCH_STATE_COUNTS)
+    def test_search_state_counts(self, n, a, b, budget):
+        # the least budget that answers is the number of states the search
+        # creates; the report's fallback to the walk depends on it
+        pair = SubsetPair(cyclic(n) if n else integers(), a, b)
+        options, sums, _ = matchlab.matching._edge_table(pair)
+        answer = matchlab.matching._search(options, sums, math.inf)
+        assert matchlab.matching._search(options, sums, budget) == answer
+        with pytest.raises(matchlab.matching._SearchBudgetExceeded):
+            matchlab.matching._search(options, sums, budget - 1)
 
     def test_single_matching_at_size_20(self):
         # a + f(a) must leave A = {0..19}, so f(a) = 20 - a is the only
