@@ -21,6 +21,7 @@ from matchlab.certify import (
     nonprime_counterexample,
     spot_check_integers,
 )
+from matchlab.groups import cyclic
 
 
 def require_verified(cert, what: str):
@@ -43,7 +44,7 @@ def main():
 
     rows = []
     for n in range(1, 9):
-        cert = classify(n)
+        cert = classify(cyclic(n))
         rows.append(cert.to_json_dict())
         print(f"Z/{n}Z: {'holds' if cert.evidence.get('holds') else 'fails'} "
               f"({cert.evidence.get('method')})")

@@ -16,9 +16,9 @@ Three claim families:
   admit no matching at all: augmenting paths find none
   (``no_matching_augmenting_paths``), and the neighbourhood N(A) of A in B
   is {x}, smaller than A (``hall_violation``).
-* ``classification``: the overall verdict for a group descriptor - the
-  acyclic matching property holds exactly for Z, Z/2, Z/3, Z/5 (and
-  vacuously for the trivial group).
+* ``classification``: the overall verdict for a group - the acyclic
+  matching property holds exactly for Z, Z/2, Z/3, Z/5 (and vacuously for
+  the trivial group).
 
 Certificates carry enough evidence to re-verify without re-running the
 original search.  A failure certificate is ``verified`` exactly when all of
@@ -39,7 +39,7 @@ from typing import Any
 
 from .errors import VerificationFailure
 from .genfun import genfun_routes
-from .groups import cyclic, integers, subgroup_generated
+from .groups import GroupCtx, cyclic, integers, subgroup_generated
 from .matching import (
     SubsetPair,
     acyclicity_report,
@@ -202,49 +202,44 @@ def spot_check_integers() -> dict[str, Any]:
     }
 
 
-def classify(descriptor: str | int) -> Certificate:
+def classify(g: GroupCtx) -> Certificate:
     """Classification verdict: the acyclic matching property holds exactly
     for the integers and for Z/pZ with p in {2, 3, 5}.
 
-    ``descriptor`` is "Z" for the integers or a positive int n for Z/nZ.
-    The positive cyclic cases are re-verified exhaustively in-repo; the
-    negative cases carry coprime6 or subgroup evidence.
+    The positive cyclic cases are re-verified exhaustively in-repo, and a
+    failed check names its counterexample pair; the negative cases carry
+    coprime6 or subgroup evidence.
     """
-    if isinstance(descriptor, str) and descriptor.upper() == "Z":
+    if not g.is_cyclic:
         evidence = {"method": "torsion_free_sampled", **spot_check_integers()}
         ok = not evidence["failures"]
         return Certificate(
             "classification",
-            "Z",
+            g.describe(),
             ok,
             {"holds": ok, **evidence},
         )
 
-    n = int(descriptor)
-    if n < 1:
-        raise ValueError(f"group order must be >= 1, got {n}")
-    g = cyclic(n)
-
+    n = g.modulus
     if n == 1:
         # no valid (A, B) exists: B must be nonempty yet avoid 0
         return Certificate(
             "classification",
-            "Z/1Z",
+            g.describe(),
             True,
             {"holds": True, "vacuous": True, "method": "no_valid_pairs"},
         )
     if n in (2, 3, 5):
         result = verify_group_amp(g)
-        return Certificate(
-            "classification",
-            f"Z/{n}Z",
-            result.holds,
-            {
-                "holds": result.holds,
-                "method": "exhaustive",
-                "pairs_checked": result.pairs_checked,
-            },
-        )
+        evidence = {
+            "holds": result.holds,
+            "method": "exhaustive",
+            "pairs_checked": result.pairs_checked,
+        }
+        if not result.holds:
+            pair = result.counterexample
+            evidence["counterexample"] = {"a": list(pair.a), "b": list(pair.b)}
+        return Certificate("classification", g.describe(), result.holds, evidence)
     # n = 4 or n > 5: the property fails
     inner = failure_certificate(n)
     if not inner.verified:
@@ -254,7 +249,7 @@ def classify(descriptor: str | int) -> Certificate:
         )
     return Certificate(
         "classification",
-        f"Z/{n}Z",
+        g.describe(),
         True,
         {"holds": False, "method": inner.claim, "evidence": inner.to_json_dict()},
     )

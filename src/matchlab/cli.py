@@ -1,18 +1,25 @@
 """Command-line surface for the verification workflows.
 
-Verbs: classify, verify-amp, enumerate, genfun, certify, report.
+Verbs: classify, verify-amp, enumerate, genfun, certify, report.  Each verb
+returns (payload, text, verified): the dict --format json prints, the text
+form (None for certify, which prints JSON in every format), and whether its
+claims re-verified.  `main` alone renders the result, writes it and picks the
+exit code.
 
-Global options are --format and --out; csv is a format of report only, and
-certify prints JSON in either other format.  The only bound a user sets is
-verify-amp's --bound on the group order; the enumeration bound, the
-enumerate verb's listing bound, the exhaustive bound of classify and report,
-the symmetry reduction and the integer sample's seed and count are module
-constants.
+Global options are --format and --out; csv is a format of report only, built
+from its payload's rows.  The only bound a user sets is verify-amp's --bound
+on the group order; the enumeration bound, the enumerate verb's listing
+bound, the exhaustive bound of classify and report, and the integer sample's
+seed and count are module constants, and the symmetry reduction is
+`verify_group_amp`'s default.
 
-Exit codes: 0 success, 1 verification failure (a claim failed to re-verify;
-diagnostic dump emitted), 2 usage error (also genfun --check when fewer than
-two methods apply), 3 resource bound exceeded (|A| past the enumeration bound
-in enumerate and genfun --method brute, more matchings than enumerate's
+Exit codes: 0 success; 1 verification failure: a failure raised on the way
+prints `verification failure: ` and its evidence on stderr (a genfun --check
+disagreement names each method's polynomial), while a result that did not
+verify (certify's certificate, classify's verdict, a report row) is printed
+as usual; 2 usage error (also genfun --check when fewer than two methods
+apply); 3 resource bound exceeded (|A| past the enumeration bound in
+enumerate and genfun --method brute, more matchings than enumerate's
 `LISTING_BOUND`, or a group order past verify-amp's --bound).  Reports are
 byte-identical for identical inputs; wall time lives in a separate metadata
 block, never in data rows.
@@ -34,7 +41,7 @@ from .errors import (
     VerificationFailure,
 )
 from .genfun import genfun_by_method, genfun_routes
-from .groups import cyclic, integers
+from .groups import cyclic, parse_group
 from .matching import (
     DEFAULT_EXHAUSTIVE_BOUND,
     SubsetPair,
@@ -84,76 +91,50 @@ def _join_element_lists(argv: list[str]) -> list[str]:
     return joined
 
 
-def _parse_group(raw: str) -> str | int:
-    """The group argument: "Z" for the integers, else the order n of Z/nZ."""
-    if raw.upper() == "Z":
-        return "Z"
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"group must be a positive integer or Z, got {raw!r}") from None
-
-
-def cmd_classify(args) -> int:
-    cert = classify(_parse_group(args.group))
-    if args.format == "json":
-        _emit(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True), args.out)
+def cmd_classify(args) -> tuple[dict, str | None, bool]:
+    cert = classify(parse_group(args.group))
+    ev = cert.evidence
+    if not ev["holds"]:
+        line = f"fails ({ev['method']})"
+        ce = ev.get("counterexample")
+        if ce:
+            line += f"; counterexample A={ce['a']} B={ce['b']}"
+    elif ev["method"] == "torsion_free_sampled":
+        line = "holds (torsion-free, sampled)"
+    elif ev.get("vacuous"):
+        line = "holds (vacuous: no valid pair exists)"
     else:
-        holds = cert.evidence.get("holds")
-        if holds:
-            detail = cert.evidence.get("method", "")
-            if detail == "torsion_free_sampled":
-                line = "holds (torsion-free, sampled)"
-            elif cert.evidence.get("vacuous"):
-                line = "holds (vacuous: no valid pair exists)"
-            else:
-                line = f"holds ({detail})"
-        else:
-            line = f"fails ({cert.evidence.get('method', '')})"
-        _emit(f"{cert.descriptor}: {line}", args.out)
-    return EXIT_OK if cert.verified else EXIT_VERIFICATION_FAILURE
+        line = f"holds ({ev['method']})"
+    return cert.to_json_dict(), f"{cert.descriptor}: {line}", cert.verified
 
 
-def cmd_verify_amp(args) -> int:
+def cmd_verify_amp(args) -> tuple[dict, str | None, bool]:
     if args.bound < 1:
         raise ValueError(f"--bound must be positive, got {args.bound}")
     result = verify_group_amp(cyclic(args.n), exhaustive_bound=args.bound)
+    ce = result.counterexample
     payload = {
         "group": f"Z/{args.n}Z",
         "holds": result.holds,
         "pairs_checked": result.pairs_checked,
-        "counterexample": (
-            {"a": list(result.counterexample.a), "b": list(result.counterexample.b)}
-            if result.counterexample
-            else None
-        ),
+        "counterexample": None if ce is None else {"a": list(ce.a), "b": list(ce.b)},
     }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
+    if result.holds:
+        text = f"Z/{args.n}Z: acyclic matching property holds ({result.pairs_checked} pairs)"
     else:
-        if result.holds:
-            _emit(
-                f"Z/{args.n}Z: acyclic matching property holds ({result.pairs_checked} pairs)",
-                args.out,
-            )
-        else:
-            ce = result.counterexample
-            _emit(
-                f"Z/{args.n}Z: fails; first counterexample A={list(ce.a)} B={list(ce.b)}",
-                args.out,
-            )
-    return EXIT_OK
+        text = f"Z/{args.n}Z: fails; first counterexample A={list(ce.a)} B={list(ce.b)}"
+    return payload, text, True
 
 
-def cmd_enumerate(args) -> int:
-    descriptor = _parse_group(args.group)
-    g = integers() if descriptor == "Z" else cyclic(descriptor)
+def cmd_enumerate(args) -> tuple[dict, str | None, bool]:
+    g = parse_group(args.group)
     pair = SubsetPair(g, args.a, args.b)
     report = acyclicity_report(pair)
     if report.total_matchings > LISTING_BOUND:
         raise BoundExceededError(
             f"{report.total_matchings} matchings exceed the listing bound {LISTING_BOUND}"
         )
+    witness = report.acyclic_witness
     payload = {
         "group": g.describe(),
         "a": list(pair.a),
@@ -167,30 +148,29 @@ def cmd_enumerate(args) -> int:
             }
             for key, count, first in report.classes
         ],
-        "acyclic_witness": (
-            list(report.acyclic_witness.assignment) if report.acyclic_witness else None
-        ),
+        "acyclic_witness": None if witness is None else list(witness.assignment),
     }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    else:
-        lines = [
-            f"{g.describe()} A={list(pair.a)} B={list(pair.b)}",
-            f"matchings: {report.total_matchings}",
-        ]
-        for key, count, first in report.classes:
-            mult = ", ".join(f"{x}:{c}" for x, c in key)
-            lines.append(f"  class {{{mult}}} size {count} witness {list(first.assignment)}")
-        lines.append(
-            f"acyclic witness: {list(report.acyclic_witness.assignment) if report.acyclic_witness else 'none'}"
-        )
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK
+    lines = [
+        f"{g.describe()} A={payload['a']} B={payload['b']}",
+        f"matchings: {report.total_matchings}",
+    ]
+    for cls in payload["classes"]:
+        mult = ", ".join(f"{x}:{c}" for x, c in cls["multiplicity"])
+        lines.append(f"  class {{{mult}}} size {cls['size']} witness {cls['witness_assignment']}")
+    lines.append(f"acyclic witness: {'none' if witness is None else payload['acyclic_witness']}")
+    return payload, "\n".join(lines), True
 
 
-def cmd_genfun(args) -> int:
+def cmd_genfun(args) -> tuple[dict, str | None, bool]:
     poly = genfun_by_method(args.method, args.n, args.m)
-    agreement = None
+    text = poly.to_text()
+    payload = {
+        "n": args.n,
+        "m": args.m,
+        "method": args.method,
+        "terms": poly.to_json_terms(),
+        "text": text,
+    }
     if args.check:
         values = genfun_routes(args.n, args.m, {args.method: poly})
         if len(values) < 2:
@@ -198,41 +178,22 @@ def cmd_genfun(args) -> int:
                 f"--check needs two methods, but only {'+'.join(values)} ran"
                 f" for n = {args.n}, m = {args.m}"
             )
-        agreement = {
-            "methods": sorted(values),
-            "agree": all(p == poly for p in values.values()),
-        }
-        if not agreement["agree"]:
+        if any(p != poly for p in values.values()):
             dump = {m: p.to_text() for m, p in values.items()}
-            print(f"error: method disagreement: {json.dumps(dump)}", file=sys.stderr)
-            return EXIT_VERIFICATION_FAILURE
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "m": args.m,
-            "method": args.method,
-            "terms": poly.to_json_terms(),
-            "text": poly.to_text(),
-        }
-        if agreement is not None:
-            payload["check"] = agreement
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    else:
-        lines = [poly.to_text()]
-        if agreement is not None:
-            lines.append(f"check: {'+'.join(agreement['methods'])} agree")
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK
+            raise VerificationFailure(f"method disagreement: {json.dumps(dump)}")
+        methods = sorted(values)
+        payload["check"] = {"methods": methods, "agree": True}
+        text += f"\ncheck: {'+'.join(methods)} agree"
+    return payload, text, True
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> tuple[dict, str | None, bool]:
     cert = failure_certificate(args.n)
-    _emit(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True), args.out)
-    return EXIT_OK if cert.verified else EXIT_VERIFICATION_FAILURE
+    return cert.to_json_dict(), None, cert.verified
 
 
 def _report_row(n: int) -> dict:
-    cert = classify(n)
+    cert = classify(cyclic(n))
     holds = bool(cert.evidence.get("holds"))
     method = cert.evidence.get("method", "")
     matchings = None
@@ -256,7 +217,7 @@ def _report_row(n: int) -> dict:
     }
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> tuple[dict, str | None, bool]:
     raw = args.range
     try:
         if ".." in raw:
@@ -271,30 +232,30 @@ def cmd_report(args) -> int:
         raise ValueError(f"range {raw!r} contains no n >= 1")
     start = time.perf_counter()
     rows = [_report_row(n) for n in ns]
-    wall = time.perf_counter() - start
-    all_verified = all(r["verified"] for r in rows)
-
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf, fieldnames=["n", "verdict", "evidence", "matchings", "min_coefficient", "verified"]
+    print(f"# wall_time_s={time.perf_counter() - start:.3f}", file=sys.stderr)
+    lines = [f"{'n':>3}  {'verdict':7}  {'evidence':20}  {'matchings':>9}  {'min_coeff':>9}"]
+    for r in rows:
+        lines.append(
+            f"{r['n']:>3}  {r['verdict']:7}  {r['evidence']:20}  "
+            f"{'' if r['matchings'] is None else r['matchings']:>9}  "
+            f"{'' if r['min_coefficient'] is None else r['min_coefficient']:>9}"
         )
+    return {"rows": rows}, "\n".join(lines), all(r["verified"] for r in rows)
+
+
+def _render(fmt: str, payload: dict, text: str | None) -> str:
+    """A verb's result in format `fmt`: csv from the payload's rows, json
+    from the payload, text from the text, or the payload as json when the
+    verb has no text form."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(payload["rows"][0]))
         writer.writeheader()
-        writer.writerows(rows)
-        _emit(buf.getvalue().rstrip("\n"), args.out)
-    elif args.format == "json":
-        _emit(json.dumps({"rows": rows}, indent=2, sort_keys=True), args.out)
-    else:
-        lines = [f"{'n':>3}  {'verdict':7}  {'evidence':20}  {'matchings':>9}  {'min_coeff':>9}"]
-        for r in rows:
-            lines.append(
-                f"{r['n']:>3}  {r['verdict']:7}  {r['evidence']:20}  "
-                f"{'' if r['matchings'] is None else r['matchings']:>9}  "
-                f"{'' if r['min_coefficient'] is None else r['min_coefficient']:>9}"
-            )
-        _emit("\n".join(lines), args.out)
-    print(f"# wall_time_s={wall:.3f}", file=sys.stderr)
-    return EXIT_OK if all_verified else EXIT_VERIFICATION_FAILURE
+        writer.writerows(payload["rows"])
+        return buf.getvalue().rstrip("\n")
+    if fmt == "json" or text is None:
+        return json.dumps(payload, indent=2, sort_keys=True)
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,7 +307,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.format == "csv" and args.func is not cmd_report:
             raise ValueError(f"--format csv applies only to report, not {args.command}")
-        return args.func(args)
+        payload, text, verified = args.func(args)
+        _emit(_render(args.format, payload, text), args.out)
+        return EXIT_OK if verified else EXIT_VERIFICATION_FAILURE
     except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND

@@ -57,6 +57,20 @@ def integers() -> GroupCtx:
     return GroupCtx("integers")
 
 
+def parse_group(text: str) -> GroupCtx:
+    """The group a descriptor names: "Z" (either case) for the integers, a
+    positive integer n for Z/nZ."""
+    if text.upper() == "Z":
+        return integers()
+    try:
+        n = int(text)
+    except ValueError:
+        raise ValueError(f"group must be a positive integer or Z, got {text!r}") from None
+    if n < 1:
+        raise ValueError(f"group order must be >= 1, got {n}")
+    return cyclic(n)
+
+
 def subgroup_generated(g: GroupCtx, a: int) -> tuple[int, ...]:
     """The cyclic subgroup <a> of Z/nZ as a sorted tuple.
 

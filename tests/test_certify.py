@@ -12,7 +12,7 @@ from matchlab.certify import (
     spot_check_integers,
 )
 from matchlab.genfun import GenPoly, standard_pair, transfer_genfun
-from matchlab.groups import cyclic
+from matchlab.groups import cyclic, integers
 from matchlab.matching import SubsetPair, acyclicity_report, matching_exists, verify_group_amp
 
 import random
@@ -134,41 +134,41 @@ class TestClassify:
     @pytest.mark.parametrize("n,holds", [(2, True), (3, True), (5, True),
                                          (4, False), (6, False), (7, False), (8, False)])
     def test_agrees_with_exhaustive_ground_truth(self, n, holds):
-        cert = classify(n)
+        cert = classify(cyclic(n))
         assert cert.verified
         assert cert.evidence["holds"] is holds
         # fully independent check of the verdict for orders in exhaustive range
         assert verify_group_amp(cyclic(n)).holds is holds
 
     def test_trivial_group_vacuous(self):
-        cert = classify(1)
+        cert = classify(cyclic(1))
         assert cert.verified
         assert cert.evidence["holds"] and cert.evidence["vacuous"]
 
     def test_cyclic_12_nonprime_evidence(self):
-        cert = classify(12)
+        cert = classify(cyclic(12))
         assert cert.verified
         assert cert.evidence["method"] == "nonprime_failure"
 
     def test_cyclic_7_coprime6_evidence(self):
-        cert = classify(7)
+        cert = classify(cyclic(7))
         assert cert.verified
         assert cert.evidence["method"] == "coprime6_failure"
 
     def test_cyclic_25_composite_coprime_to_6(self):
-        cert = classify(25)
+        cert = classify(cyclic(25))
         assert cert.verified
         assert cert.evidence["holds"] is False
 
     def test_integers_sampled(self):
-        cert = classify("Z")
+        cert = classify(integers())
         assert cert.verified
         assert cert.evidence["holds"]
         assert cert.evidence["seed"] == 20240601
         assert cert.evidence["failures"] == []
 
     def test_json_schema(self):
-        blob = json.loads(json.dumps(classify(7).to_json_dict()))
+        blob = json.loads(json.dumps(classify(cyclic(7)).to_json_dict()))
         assert blob["schema_version"] == CERTIFICATE_SCHEMA_VERSION
         assert set(blob) == {"schema_version", "claim", "descriptor", "verified", "evidence"}
 

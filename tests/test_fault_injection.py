@@ -7,12 +7,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from matchlab import certify, genfun
+from matchlab import certify, genfun, matching
 from matchlab.certify import classify, failure_certificate
 from matchlab.cli import main
 from matchlab.errors import VerificationFailure
 from matchlab.genfun import C1, ZERO, GenPoly, transfer_genfun
-from matchlab.groups import GroupCtx
+from matchlab.groups import GroupCtx, integers
 
 
 def run(argv, capsys):
@@ -108,8 +108,8 @@ def test_genfun_check_disagreement_exits_1(monkeypatch, capsys):
     code, out, err = run(["genfun", "7", "2", "--check"], capsys)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: method disagreement: ")
-    dump = json.loads(err.removeprefix("error: method disagreement: "))
+    assert err.startswith("verification failure: method disagreement: ")
+    dump = json.loads(err.removeprefix("verification failure: method disagreement: "))
     assert dump == {"transfer": "2*c0*c1*c3^2", "brute": "2*c0*c1*c3^2",
                     "closed": "c1 + 2*c0*c1*c3^2"}
 
@@ -118,12 +118,35 @@ def test_integer_sample_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(
         certify, "acyclicity_report", lambda pair: SimpleNamespace(has_acyclic=False)
     )
-    cert = classify("Z")
+    cert = classify(integers())
     assert cert.verified is False
     assert len(cert.evidence["failures"]) == cert.evidence["samples"]
     code, out, _ = run(["classify", "Z"], capsys)
     assert code == 1
     assert out == "Z: fails (torsion_free_sampled)\n"
+
+
+def test_failed_exhaustive_check_names_its_pair(monkeypatch, capsys):
+    # no pair with |A| >= 2 has an acyclic matching; the first in sweep order
+    # is A = {0, 1}, B = {1, 2}
+    report = matching.acyclicity_report
+    monkeypatch.setattr(
+        matching,
+        "acyclicity_report",
+        lambda pair: report(pair) if pair.size < 2 else SimpleNamespace(has_acyclic=False),
+    )
+    code, out, _ = run(["classify", "5"], capsys)
+    assert code == 1
+    assert out == "Z/5Z: fails (exhaustive); counterexample A=[0, 1] B=[1, 2]\n"
+    code, out, _ = run(["--format", "json", "classify", "5"], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verified"] is False
+    assert payload["evidence"]["holds"] is False
+    assert payload["evidence"]["counterexample"] == {"a": [0, 1], "b": [1, 2]}
+    code, out, _ = run(["--format", "json", "report", "5"], capsys)
+    assert code == 1
+    assert json.loads(out)["rows"][0]["verified"] is False
 
 
 def _break_step_matrix(monkeypatch):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from matchlab.groups import cyclic, integers, subgroup_generated, units
+from matchlab.groups import cyclic, integers, parse_group, subgroup_generated, units
 
 
 @pytest.mark.parametrize(
@@ -90,3 +90,10 @@ def test_group_ctx_validation():
         from matchlab.groups import GroupCtx
 
         GroupCtx("other")
+
+
+@pytest.mark.parametrize("text,group", [("Z", integers()), ("z", integers()), ("7", cyclic(7)),
+                                        ("1", cyclic(1))])
+def test_parse_group(text, group):
+    assert parse_group(text) == group
+
