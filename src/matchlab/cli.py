@@ -99,6 +99,9 @@ def cmd_classify(args) -> tuple[dict, str | None, bool]:
         ce = ev.get("counterexample")
         if ce:
             line += f"; counterexample A={ce['a']} B={ce['b']}"
+        elif ev.get("failures"):
+            first = ev["failures"][0]
+            line += f"; first failure A={first['a']} B={first['b']}"
     elif ev["method"] == "torsion_free_sampled":
         line = "holds (torsion-free, sampled)"
     elif ev.get("vacuous"):
@@ -207,7 +210,7 @@ def _report_row(n: int) -> dict:
             matchings = enum.get("total_matchings")
         elif inner.get("claim") == "nonprime_failure":
             matchings = 0
-    return {
+    row = {
         "n": n,
         "verdict": "holds" if holds else "fails",
         "evidence": method,
@@ -215,6 +218,9 @@ def _report_row(n: int) -> dict:
         "min_coefficient": min_coeff,
         "verified": cert.verified,
     }
+    if "counterexample" in cert.evidence:
+        row["counterexample"] = cert.evidence["counterexample"]
+    return row
 
 
 def cmd_report(args) -> tuple[dict, str | None, bool]:
@@ -235,11 +241,15 @@ def cmd_report(args) -> tuple[dict, str | None, bool]:
     print(f"# wall_time_s={time.perf_counter() - start:.3f}", file=sys.stderr)
     lines = [f"{'n':>3}  {'verdict':7}  {'evidence':20}  {'matchings':>9}  {'min_coeff':>9}"]
     for r in rows:
-        lines.append(
+        line = (
             f"{r['n']:>3}  {r['verdict']:7}  {r['evidence']:20}  "
             f"{'' if r['matchings'] is None else r['matchings']:>9}  "
             f"{'' if r['min_coefficient'] is None else r['min_coefficient']:>9}"
         )
+        ce = r.get("counterexample")
+        if ce:
+            line += f"  A={ce['a']} B={ce['b']}"
+        lines.append(line)
     return {"rows": rows}, "\n".join(lines), all(r["verified"] for r in rows)
 
 
@@ -249,7 +259,9 @@ def _render(fmt: str, payload: dict, text: str | None) -> str:
     verb has no text form."""
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(payload["rows"][0]))
+        # a row that names a counterexample has one more key than the rest
+        fields = dict.fromkeys(key for row in payload["rows"] for key in row)
+        writer = csv.DictWriter(buf, fieldnames=list(fields))
         writer.writeheader()
         writer.writerows(payload["rows"])
         return buf.getvalue().rstrip("\n")

@@ -68,3 +68,46 @@ def reference_report(pair):
     classes = [(key, sizes[key], first[key]) for key in sorted(sizes)]
     witness = next((m for _, size, m in classes if size == 1), None)
     return sum(sizes.values()), classes, witness
+
+
+def standard_genfun(n: int, m: int) -> dict[tuple[int, int, int], int]:
+    """The generating function of A = Z/nZ \\ {0,1,3}, B = Z/nZ \\ {0,1,m}
+    as {(w0, w1, w3): count}, read from the pair's definition alone.
+
+    With x = -a, every sum a + f(a) lies in {0, 1, 3}, so x takes the
+    target b = x + d for some d in {0, 1, 3}.  The scan runs x = 0..n-1
+    with the used targets in [x, x + 3] as a bitmask; a target in 0..2
+    taken past n - 1 wraps, so each set of wrapped targets is fixed in
+    advance and summed over (the transfer-matrix method for restricted
+    permutations, Stanley, Enumerative Combinatorics I, section 4.7).
+    """
+    targets = set(range(n)) - {0, 1, m % n}
+    sources = set(range(n)) - {0, n - 1, n - 3}
+    low = [t for t in range(3) if t in targets]
+    total: dict[tuple[int, int, int], int] = {}
+    for wrapped in range(1 << len(low)):
+        start = sum(1 << t for i, t in enumerate(low) if wrapped >> i & 1)
+        states = {(start, (0, 0, 0)): 1}
+        for x in range(n):
+            placed: dict[tuple[int, tuple[int, int, int]], int] = {}
+            for (mask, w), count in states.items():
+                if x not in sources:
+                    steps = [(mask, w)]
+                else:
+                    # a wrapped target (x + d >= n) is checked against
+                    # `start` once the scan ends
+                    steps = [
+                        (mask | 1 << d, w[:i] + (w[i] + 1,) + w[i + 1:])
+                        for i, d in enumerate((0, 1, 3))
+                        if (x + d >= n or x + d in targets) and not mask >> d & 1
+                    ]
+                for new_mask, new_w in steps:
+                    # target x is left behind: used exactly when it is in B
+                    if new_mask & 1 == (x in targets):
+                        key = (new_mask >> 1, new_w)
+                        placed[key] = placed.get(key, 0) + count
+            states = placed
+        for (mask, w), count in states.items():
+            if mask == start:
+                total[w] = total.get(w, 0) + count
+    return total

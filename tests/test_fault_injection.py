@@ -123,7 +123,7 @@ def test_integer_sample_failure_exits_1(monkeypatch, capsys):
     assert len(cert.evidence["failures"]) == cert.evidence["samples"]
     code, out, _ = run(["classify", "Z"], capsys)
     assert code == 1
-    assert out == "Z: fails (torsion_free_sampled)\n"
+    assert out == "Z: fails (torsion_free_sampled); first failure A=[1] B=[1]\n"
 
 
 def test_failed_exhaustive_check_names_its_pair(monkeypatch, capsys):
@@ -146,7 +146,20 @@ def test_failed_exhaustive_check_names_its_pair(monkeypatch, capsys):
     assert payload["evidence"]["counterexample"] == {"a": [0, 1], "b": [1, 2]}
     code, out, _ = run(["--format", "json", "report", "5"], capsys)
     assert code == 1
-    assert json.loads(out)["rows"][0]["verified"] is False
+    row = json.loads(out)["rows"][0]
+    assert row["verified"] is False
+    assert row["counterexample"] == {"a": [0, 1], "b": [1, 2]}
+    code, out, _ = run(["report", "5"], capsys)
+    assert code == 1
+    assert out.splitlines()[1].endswith(" A=[0, 1] B=[1, 2]")
+    # the header takes the counterexample column from a row after the first
+    code, out, _ = run(["--format", "csv", "report", "4..5"], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "n,verdict,evidence,matchings,min_coefficient,verified,counterexample",
+        "4,fails,nonprime_failure,0,,True,",
+        "5,fails,exhaustive,,,False,\"{'a': [0, 1], 'b': [1, 2]}\"",
+    ]
 
 
 def _break_step_matrix(monkeypatch):

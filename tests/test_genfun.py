@@ -21,7 +21,7 @@ from matchlab.genfun import (
     standard_pair,
     transfer_genfun,
 )
-from reference import matchings
+from reference import matchings, reference_report, standard_genfun
 
 monomials = st.builds(
     GenPoly.monomial,
@@ -126,6 +126,24 @@ class TestTransferGenfun:
         for n, m in [(8, 2), (10, 6), (11, 2)]:
             count = sum(1 for _ in matchings(standard_pair(n, m)))
             assert transfer_genfun(n, m).total() == count
+
+    @pytest.mark.parametrize("m,closed", [(2, closed_form_m2), (6, closed_form_m6)])
+    def test_equals_the_reference_band_dp(self, m, closed):
+        # past n = 23 brute stops, and transfer and closed both come from
+        # the paper's derivation; the band DP reads only the pair
+        for n in range(m + 4, m + 41):
+            expected = standard_genfun(n, m)
+            assert dict(transfer_genfun(n, m).items()) == expected
+            assert dict(closed(n).items()) == expected
+
+    @pytest.mark.parametrize("n,m", [(8, 2), (10, 6), (9, 3), (11, 4), (12, 5), (13, 7)])
+    def test_reference_band_dp_equals_reference_enumeration(self, n, m):
+        _, classes, _ = reference_report(standard_pair(n, m))
+        expected = {}
+        for key, size, _ in classes:
+            counts = dict(key)
+            expected[(counts.get(0, 0), counts.get(1, 0), counts.get(3, 0))] = size
+        assert standard_genfun(n, m) == expected
 
 
 class TestClosedForms:
