@@ -7,11 +7,11 @@ claims re-verified.  `main` alone renders the result, writes it and picks the
 exit code.
 
 Global options are --format and --out; csv is a format of report only, built
-from its payload's rows.  The only bound a user sets is verify-amp's --bound
-on the group order; the enumeration bound, the enumerate verb's listing
-bound, the exhaustive bound of classify and report, and the integer sample's
-seed and count are module constants, and the symmetry reduction is
-`verify_group_amp`'s default.
+from its payload's rows, with a dict or list cell written as JSON.  The only
+bound a user sets is verify-amp's --bound on the group order; the
+enumeration bound, the enumerate verb's listing bound, the exhaustive bound
+of classify and report, and the integer sample's seed and count are module
+constants, and the symmetry reduction is `verify_group_amp`'s default.
 
 Exit codes: 0 success; 1 verification failure: a failure raised on the way
 prints `verification failure: ` and its evidence on stderr (a genfun --check
@@ -23,12 +23,21 @@ enumerate and genfun --method brute, more matchings than enumerate's
 `LISTING_BOUND`, or a group order past verify-amp's --bound).  Reports are
 byte-identical for identical inputs; wall time lives in a separate metadata
 block, never in data rows.
+
+`main` may be called many times in one process (the reproduction script and
+the golden tests do): `build_parser` builds the parser on the first call and
+returns that one parser after, so a call costs its verb's work and not the
+argparse set-up.  Each call parses into a fresh namespace, so calls share no
+state; but `set_defaults` captures the `cmd_*` functions and the --bound
+default when the parser is built, so rebinding either later in the process
+does not reach `main`.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -263,13 +272,17 @@ def _render(fmt: str, payload: dict, text: str | None) -> str:
         fields = dict.fromkeys(key for row in payload["rows"] for key in row)
         writer = csv.DictWriter(buf, fieldnames=list(fields))
         writer.writeheader()
-        writer.writerows(payload["rows"])
+        for row in payload["rows"]:
+            writer.writerow({key: json.dumps(value, sort_keys=True)
+                             if isinstance(value, (dict, list)) else value
+                             for key, value in row.items()})
         return buf.getvalue().rstrip("\n")
     if fmt == "json" or text is None:
         return json.dumps(payload, indent=2, sort_keys=True)
     return text
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchlab",

@@ -325,6 +325,42 @@ class TestOptions:
         assert err.startswith("usage: matchlab")
 
 
+class TestOneProcess:
+    """`main` called again and again in one process, on the one parser
+    `build_parser` keeps, answers each call as a fresh process would."""
+
+    def test_calls_share_no_state(self, capsys, tmp_path):
+        out_path = tmp_path / "cert.json"
+        code, out, _ = run(["--format", "json", "--out", str(out_path), "certify", "7"], capsys)
+        assert (code, out) == (0, "")
+        code, out, _ = run(["certify", "7"], capsys)
+        assert code == 0
+        assert out == out_path.read_text()
+
+        code, out, _ = run(["--format", "csv", "report", "1..2"], capsys)
+        assert code == 0
+        assert out.startswith("n,verdict,evidence,")
+        code, out, _ = run(["report", "1..2"], capsys)
+        assert code == 0
+        assert out.splitlines()[0].split() == ["n", "verdict", "evidence", "matchings", "min_coeff"]
+        assert out.splitlines()[2].split() == ["2", "holds", "exhaustive"]
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "xml", "certify", "9"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run(["classify", "7"], capsys)
+        assert (code, out, err) == (0, "Z/7Z: fails (coprime6_failure)\n", "")
+
+        code, out, _ = run(["enumerate", "7", "--a", "0,1,3", "--b", "1,2,4"], capsys)
+        assert code == 0
+        assert out.startswith("Z/7Z A=[0, 1, 3] B=[1, 2, 4]\n")
+        code, out, _ = run(["genfun", "7", "2"], capsys)
+        assert (code, out) == (0, "2*c0*c1*c3^2\n")
+
+        assert cli.build_parser() is cli.build_parser()
+
+
 def _readme_cli_examples() -> list[str]:
     """The `matchlab ...` lines of README's CLI block, comments dropped."""
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()

@@ -158,7 +158,7 @@ def test_failed_exhaustive_check_names_its_pair(monkeypatch, capsys):
     assert out.splitlines() == [
         "n,verdict,evidence,matchings,min_coefficient,verified,counterexample",
         "4,fails,nonprime_failure,0,,True,",
-        "5,fails,exhaustive,,,False,\"{'a': [0, 1], 'b': [1, 2]}\"",
+        '5,fails,exhaustive,,,False,"{""a"": [0, 1], ""b"": [1, 2]}"',
     ]
 
 

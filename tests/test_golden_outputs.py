@@ -2,7 +2,10 @@
 sha256 each in `golden_outputs.json`.
 
 A hash covers the exit code, stdout, and stderr without its
-`# wall_time_s=` line.  A refactor that must keep every output
+`# wall_time_s=` line.  Every command runs in this one process, on the one
+parser `main` keeps; the commands other than certify 4..167 are checked a
+second time in reverse order, so an output that depended on the calls
+before it would show.  A refactor that must keep every output
 byte-identical passes this test unchanged; a change that means to alter an
 output regenerates the fixture with
 
@@ -33,8 +36,10 @@ def _both_formats(argv):
     return [argv, ["--format", "json", *argv]]
 
 
+CERTIFY_RANGE = [["certify", str(n)] for n in range(4, 168)]
+
 COMMANDS = [
-    *(["certify", str(n)] for n in range(4, 168)),
+    *CERTIFY_RANGE,
     *(argv for n, m in GENFUN_PAIRS for argv in _both_formats(["genfun", str(n), str(m), "--check"])),
     *(["--format", fmt, "report", "1..8"] for fmt in ("text", "json", "csv")),
     *(argv for g in ("1", "2", "5", "7", "12", "25", "Z") for argv in _both_formats(["classify", g])),
@@ -73,6 +78,12 @@ def test_fixture_pins_exactly_the_commands():
 def test_output_matches_golden(argv):
     command = " ".join(argv)
     assert digest(argv) == _pinned()[command], f"matchlab {command}: output changed"
+
+
+def test_outputs_do_not_depend_on_call_order():
+    reordered = [argv for argv in reversed(COMMANDS) if argv not in CERTIFY_RANGE]
+    changed = [" ".join(argv) for argv in reordered if digest(argv) != _pinned()[" ".join(argv)]]
+    assert changed == []
 
 
 if __name__ == "__main__":
