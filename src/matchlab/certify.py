@@ -15,7 +15,12 @@ Three claim families:
 * ``nonprime_failure``: for composite n, A = <a> and B = (<a> u {x}) \\ {0}
   admit no matching at all: augmenting paths find none
   (``no_matching_augmenting_paths``), and the neighbourhood N(A) of A in B
-  is {x}, smaller than A (``hall_violation``).
+  is {x}, smaller than A (``hall_violation``).  The routes share nothing
+  past the pair and its group.  Augmenting paths stop at the first element
+  of A they cannot place, here the second, so they build 2 rows of
+  partners, 2|B| ``GroupCtx.add`` calls.  Hall's route reads every sum
+  y + b by brute force, with no use of the subgroup structure: one
+  ``GroupCtx.translate`` b + A per b in B, |B| calls that form |A||B| sums.
 * ``classification``: the overall verdict for a group - the acyclic
   matching property holds exactly for Z, Z/2, Z/3, Z/5 (and vacuously for
   the trivial group).
@@ -142,8 +147,9 @@ def nonprime_counterexample(n: int) -> Certificate:
     pair = SubsetPair(g, a_set, b_set)
 
     no_matching = not matching_exists(pair)
-    # independent route: Hall's condition fails, |N(A)| < |A|
-    neighbourhood = sorted({b for y in a_set for b in b_set if g.add(y, b) not in sub_set})
+    # independent route: Hall's condition fails, |N(A)| < |A|; b is a
+    # neighbour when some y + b, read off the translate b + A, leaves <a>
+    neighbourhood = [b for b in b_set if not sub_set.issuperset(g.translate(b, a_set))]
     hall_violated = len(neighbourhood) < len(a_set)
 
     evidence = {

@@ -30,7 +30,12 @@ returns that one parser after, so a call costs its verb's work and not the
 argparse set-up.  Each call parses into a fresh namespace, so calls share no
 state; but `set_defaults` captures the `cmd_*` functions and the --bound
 default when the parser is built, so rebinding either later in the process
-does not reach `main`.
+does not reach `main`.  Every usage error comes back as the return value 2:
+a malformed command line prints on stderr what argparse prints (the usage
+line, then `matchlab: error: ...`, with the verb after `matchlab` when its
+own arguments are at fault), and `main` returns 2 rather than raising
+SystemExit.  Only --help raises argparse's SystemExit(0), after printing
+the help.
 """
 
 from __future__ import annotations
@@ -282,9 +287,23 @@ def _render(fmt: str, payload: dict, text: str | None) -> str:
     return text
 
 
+class _CommandLineError(Exception):
+    """A malformed command line, carrying what argparse would print on
+    stderr before exiting 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors return to `main`, which prints them
+    and returns 2, instead of raising SystemExit; its subparsers inherit
+    the class."""
+
+    def error(self, message: str):
+        raise _CommandLineError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matchlab",
         description="Verification lab for acyclic matchings in abelian groups.",
     )
@@ -327,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_element_lists(sys.argv[1:] if argv is None else argv))
     try:
+        args = build_parser().parse_args(
+            _join_element_lists(sys.argv[1:] if argv is None else argv))
         if args.format == "csv" and args.func is not cmd_report:
             raise ValueError(f"--format csv applies only to report, not {args.command}")
         payload, text, verified = args.func(args)
@@ -341,6 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILURE
+    except _CommandLineError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, MatchlabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,10 +5,12 @@ a + f(a) not in A for every a.  Its multiplicity vector counts, for each group
 element x, how many a satisfy a + f(a) = x.  A matching is acyclic when no
 other matching shares its multiplicity vector.
 
-This module decides matching existence (augmenting paths), buckets all
-matchings by multiplicity vector, and runs exhaustive verification of the
-acyclic matching property over every valid subset pair of a small cyclic
-group.  `acyclicity_report` builds the
+This module decides matching existence (augmenting paths, which place A in
+order, build each element's row of partners when they reach it, and stop at
+the first element they cannot place), buckets all matchings by multiplicity
+vector, and runs exhaustive verification of the acyclic matching property
+over every valid subset pair of a small cyclic group.  `acyclicity_report`
+builds the
 pair's allowed edges and picks one of two sides from the product of the row
 degrees, which bounds the number of matchings.  Up to `WALK_DEGREE_PRODUCT`
 it walks every matching, keyed by one int, a digit per distinct allowed sum
@@ -128,10 +130,19 @@ def is_matching(pair: SubsetPair, assignment: tuple[int, ...] | list[int]) -> bo
 
 def matching_exists(pair: SubsetPair) -> bool:
     """Decide matching existence via augmenting paths on the bipartite
-    compatibility graph: edge (a, b) iff a + b not in A."""
+    compatibility graph: edge (a, b) iff a + b not in A.
+
+    The elements of A are placed in order, and each one's row of partners
+    is built when the loop reaches it: `augment` visits only the current
+    element and elements matched before it, whose rows exist already.  The
+    first element no augmenting path places decides the answer, False:
+    the matching then covers every element before it, and with no
+    augmenting path from the one free element it is maximum on that prefix
+    of A (Berge), so the prefix, and A with it, has no matching into B
+    (Kuhn 1955).  The rest of A is never read."""
     g = pair.group
     a_set = frozenset(pair.a)
-    adj = {a: [b for b in pair.b if g.add(a, b) not in a_set] for a in pair.a}
+    adj: dict[int, list[int]] = {}
     match_of_b: dict[int, int] = {}
 
     def augment(a: int, seen: set[int]) -> bool:
@@ -144,14 +155,16 @@ def matching_exists(pair: SubsetPair) -> bool:
                 return True
         return False
 
-    matched = 0
+    placed_all = True
     for a in pair.a:
-        if augment(a, set()):
-            matched += 1
+        adj[a] = [b for b in pair.b if g.add(a, b) not in a_set]
+        if not augment(a, set()):
+            placed_all = False
+            break
     # augment refers to itself; dropping the name frees the tables by
     # refcount rather than leaving them to the cyclic collector
     del augment
-    return matched == pair.size
+    return placed_all
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from matchlab import certify
 from matchlab.certify import (
     CERTIFICATE_SCHEMA_VERSION,
     certify_coprime6,
@@ -12,7 +13,7 @@ from matchlab.certify import (
     spot_check_integers,
 )
 from matchlab.genfun import GenPoly, standard_pair, transfer_genfun
-from matchlab.groups import cyclic, integers
+from matchlab.groups import GroupCtx, cyclic, integers
 from matchlab.matching import SubsetPair, acyclicity_report, matching_exists, verify_group_amp
 
 import random
@@ -128,6 +129,43 @@ class TestNonprimeCounterexample:
     def test_precondition(self, n):
         with pytest.raises(ValueError):
             nonprime_counterexample(n)
+
+    def test_each_route_pays_for_its_own_sums(self, monkeypatch):
+        # n = 2000: A = <2>, B = (<2> u {1}) \ {0}, |A| = |B| = 1000.
+        # Augmenting paths add one sum at a time and stop at the second
+        # element of A; Hall's route reads one translate b + A per b.  Neither
+        # route calls into the other.
+        calls = {"add": 0, "translate": 0, "matching_exists": 0}
+        inside_matching_exists = []
+        add, translate = GroupCtx.add, GroupCtx.translate
+        exists = certify.matching_exists
+
+        def counted_add(self, x, y):
+            calls["add"] += 1
+            return add(self, x, y)
+
+        def counted_translate(self, t, xs):
+            assert not inside_matching_exists
+            calls["translate"] += 1
+            return translate(self, t, xs)
+
+        def counted_exists(pair):
+            calls["matching_exists"] += 1
+            inside_matching_exists.append(True)
+            try:
+                return exists(pair)
+            finally:
+                inside_matching_exists.pop()
+
+        monkeypatch.setattr(GroupCtx, "add", counted_add)
+        monkeypatch.setattr(GroupCtx, "translate", counted_translate)
+        monkeypatch.setattr(certify, "matching_exists", counted_exists)
+        cert = nonprime_counterexample(2000)
+        assert cert.verified
+        size_b = len(cert.evidence["pair"]["b"])
+        assert size_b == 1000
+        assert cert.evidence["neighbourhood"] == [1]
+        assert calls == {"add": 2 * size_b, "translate": size_b, "matching_exists": 1}
 
 
 class TestClassify:

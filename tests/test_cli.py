@@ -277,10 +277,27 @@ class TestOptions:
         assert err == "error: --bound must be positive, got 0\n"
 
     def test_unknown_format_is_usage_error(self, capsys):
+        code, out, err = run(["--format", "xml", "certify", "9"], capsys)
+        assert (code, out) == (2, "")
+        # what argparse prints before its SystemExit(2): the usage, wrapped to
+        # the terminal's width, then the error line
+        usage = cli.build_parser().format_usage()
+        assert err.startswith(usage + "matchlab: error: argument --format: invalid choice: 'xml'")
+        assert err.count("\n") == usage.count("\n") + 1
+
+    def test_subcommand_usage_error_names_the_verb(self, capsys):
+        code, out, err = run(["enumerate", "7", "--a", "x", "--b", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: matchlab enumerate [-h] ")
+        assert err.splitlines()[-1] == (
+            "matchlab enumerate: error: argument --a: expected comma-separated integers, got 'x'"
+        )
+
+    def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["--format", "xml", "certify", "9"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'xml'" in capsys.readouterr().err
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: matchlab")
 
     @pytest.mark.parametrize(
         "argv",
@@ -317,12 +334,10 @@ class TestOptions:
         ids=["seed", "no-symmetry", "config", "certify-bound"],
     )
     def test_removed_option_is_usage_error(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
         assert err.startswith("usage: matchlab")
+        assert err.splitlines()[-1].startswith("matchlab: error: ")
 
 
 class TestOneProcess:
@@ -345,10 +360,9 @@ class TestOneProcess:
         assert out.splitlines()[0].split() == ["n", "verdict", "evidence", "matchings", "min_coeff"]
         assert out.splitlines()[2].split() == ["2", "holds", "exhaustive"]
 
-        with pytest.raises(SystemExit) as exc:
-            main(["--format", "xml", "certify", "9"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+        code, out, err = run(["--format", "xml", "certify", "9"], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith("matchlab: error: argument --format: ")
         code, out, err = run(["classify", "7"], capsys)
         assert (code, out, err) == (0, "Z/7Z: fails (coprime6_failure)\n", "")
 

@@ -56,10 +56,14 @@ def _augmenting_paths_find_a_matching(monkeypatch):
 
 
 def _every_sum_avoids_a(monkeypatch):
-    # 1 lies outside <3> in Z/9Z, so N(A) = B; augmenting paths keep their
-    # right answer
-    monkeypatch.setattr(GroupCtx, "add", lambda self, x, y: 1)
-    monkeypatch.setattr(certify, "matching_exists", lambda pair: False)
+    # 1 lies outside <3> in Z/9Z, so N(A) = B; augmenting paths add one sum
+    # at a time, so they keep their right answer
+    monkeypatch.setattr(GroupCtx, "translate", lambda self, t, xs: [1 for _ in xs])
+
+
+def _translate_skips_the_reduction(monkeypatch):
+    # in Z/9Z, 3 + 6 = 9 is not reduced to 0 and so leaves <3>: N(A) = B
+    monkeypatch.setattr(GroupCtx, "translate", lambda self, t, xs: [t + x for x in xs])
 
 
 FAULTS = [
@@ -68,8 +72,11 @@ FAULTS = [
     ("all_coefficients_ge_2", 13, _every_route_has_a_coefficient_of_1),
     ("no_matching_augmenting_paths", 9, _augmenting_paths_find_a_matching),
     ("hall_violation", 9, _every_sum_avoids_a),
+    ("hall_violation", 9, _translate_skips_the_reduction),
 ]
-FAULT_IDS = [key for key, _, _ in FAULTS]
+# the first fault on a key is named by the key alone
+FAULT_IDS = ["hall_violation-unreduced_translate" if fault is _translate_skips_the_reduction
+             else key for key, _, fault in FAULTS]
 
 
 @pytest.mark.parametrize("key,n,fault", FAULTS, ids=FAULT_IDS)

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import matchlab.matching
 from matchlab.errors import BoundExceededError
-from matchlab.groups import cyclic, integers, units
+from matchlab.groups import GroupCtx, cyclic, integers, units
 from matchlab.matching import (
     PACKED_COUNT_BITS,
     WALK_DEGREE_PRODUCT,
@@ -120,6 +120,32 @@ def walks(monkeypatch):
 
     monkeypatch.setattr(matchlab.matching, "_walk", counted)
     return calls
+
+
+@pytest.fixture
+def adds(monkeypatch):
+    """The number of group additions made, as a one-element list."""
+    count = [0]
+    add = GroupCtx.add
+
+    def counted(self, x, y):
+        count[0] += 1
+        return add(self, x, y)
+
+    monkeypatch.setattr(GroupCtx, "add", counted)
+    return count
+
+
+def placeable_prefix(pair):
+    """The length of the longest prefix of A, ascending, that some injective
+    map into B places with every sum a + f(a) outside the whole of A."""
+    n = pair.group.modulus
+    a_set = set(pair.a)
+    rows = [[b for b in pair.b if (a + b) % n not in a_set] for a in pair.a]
+    for i in range(len(rows)):
+        if not any(len(set(f)) == i + 1 for f in itertools.product(*rows[: i + 1])):
+            return i
+    return len(rows)
 
 
 def report_summary(pair):
@@ -285,6 +311,45 @@ class TestMatchingExists:
             for pair in iter_valid_pairs(n):
                 has = any(True for _ in matchings(pair))
                 assert matching_exists(pair) == has
+
+    @pytest.mark.parametrize("n,pairs,matchable", [(7, 1715, 1715), (8, 6434, 6062)])
+    def test_agrees_with_enumeration_on_every_pair(self, n, pairs, matchable):
+        # the counts are the census fixture's
+        answers = [(matching_exists(pair), any(True for _ in matchings(pair)))
+                   for pair in iter_valid_pairs(n)]
+        assert all(got == want for got, want in answers)
+        assert (len(answers), sum(want for _, want in answers)) == (pairs, matchable)
+
+    # (n, A, B, rows): augmenting paths cannot place the rows-th element of
+    # A.  The first element always has a partner (B = A - a would hold 0),
+    # so the earliest an element can go unplaced is second.
+    @pytest.mark.parametrize(
+        "n,a,b,rows",
+        [
+            (9, (0, 3, 6), (1, 3, 6), 2),
+            (8, (0, 2, 4, 6), (1, 2, 4, 6), 2),
+            (8, (0, 2, 4, 5, 6), (1, 2, 3, 4, 6), 3),
+            (8, (0, 1, 4, 5), (1, 2, 3, 4), 4),
+            (9, (0, 1, 3, 4, 6, 7), (1, 2, 3, 4, 5, 8), 6),
+        ],
+        ids=["subgroup-second", "second-of-4", "third-of-5", "last-of-4", "last-of-6"],
+    )
+    def test_stops_at_the_first_element_it_cannot_place(self, adds, n, a, b, rows):
+        pair = SubsetPair(cyclic(n), a, b)
+        assert not any(True for _ in matchings(pair))
+        assert placeable_prefix(pair) == rows - 1
+        adds[0] = 0
+        assert matching_exists(pair) is False
+        # one row of |B| sums per element the loop reached
+        assert adds[0] == rows * len(b)
+
+    def test_builds_one_row_per_element_reached(self, adds):
+        for pair in iter_valid_pairs(6):
+            prefix = placeable_prefix(pair)
+            adds[0] = 0
+            exists = matching_exists(pair)
+            assert exists == (prefix == pair.size)
+            assert adds[0] == min(prefix + 1, pair.size) * pair.size
 
 
 class TestCountMatchings:
