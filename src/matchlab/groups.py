@@ -4,13 +4,12 @@ Elements are plain Python ints in canonical form: residues in [0, n) for the
 cyclic case, any int for Z.  All operations are pure.
 
 A new group kind (a product of cyclic groups, say) must teach `GroupCtx`
-its `is_canonical`, `add`, `translate` and `describe`.
+its `is_canonical`, `add` and `describe`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 
@@ -48,13 +47,6 @@ class GroupCtx:
         # one attribute read per call: engines add k^2 times per pair
         n = self.modulus
         return x + y if n is None else (x + y) % n
-
-    def translate(self, t: int, xs: Iterable[int]) -> list[int]:
-        """The translate t + xs of canonical elements, in the order of xs:
-        ``[self.add(t, x) for x in xs]`` in one call per row, for a caller
-        that needs a whole row of sums."""
-        n = self.modulus
-        return [t + x for x in xs] if n is None else [(t + x) % n for x in xs]
 
     def describe(self) -> str:
         return f"Z/{self.modulus}Z" if self.is_cyclic else "Z"

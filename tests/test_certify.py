@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchlab import certify
 from matchlab.certify import (
@@ -133,21 +134,21 @@ class TestNonprimeCounterexample:
     def test_each_route_pays_for_its_own_sums(self, monkeypatch):
         # n = 2000: A = <2>, B = (<2> u {1}) \ {0}, |A| = |B| = 1000.
         # Augmenting paths add one sum at a time and stop at the second
-        # element of A; Hall's route reads one translate b + A per b.  Neither
-        # route calls into the other.
-        calls = {"add": 0, "translate": 0, "matching_exists": 0}
+        # element of A; Hall's route adds nothing and rotates A's mask once
+        # per b.  Neither route calls into the other.
+        calls = {"add": 0, "rotate": 0, "matching_exists": 0}
         inside_matching_exists = []
-        add, translate = GroupCtx.add, GroupCtx.translate
-        exists = certify.matching_exists
+        add, rotate, exists = GroupCtx.add, certify._rotate, certify.matching_exists
 
         def counted_add(self, x, y):
+            assert inside_matching_exists
             calls["add"] += 1
             return add(self, x, y)
 
-        def counted_translate(self, t, xs):
+        def counted_rotate(mask, k, n):
             assert not inside_matching_exists
-            calls["translate"] += 1
-            return translate(self, t, xs)
+            calls["rotate"] += 1
+            return rotate(mask, k, n)
 
         def counted_exists(pair):
             calls["matching_exists"] += 1
@@ -158,14 +159,27 @@ class TestNonprimeCounterexample:
                 inside_matching_exists.pop()
 
         monkeypatch.setattr(GroupCtx, "add", counted_add)
-        monkeypatch.setattr(GroupCtx, "translate", counted_translate)
+        monkeypatch.setattr(certify, "_rotate", counted_rotate)
         monkeypatch.setattr(certify, "matching_exists", counted_exists)
         cert = nonprime_counterexample(2000)
         assert cert.verified
         size_b = len(cert.evidence["pair"]["b"])
         assert size_b == 1000
         assert cert.evidence["neighbourhood"] == [1]
-        assert calls == {"add": 2 * size_b, "translate": size_b, "matching_exists": 1}
+        assert calls == {"add": 2 * size_b, "rotate": size_b, "matching_exists": 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_neighbourhood_is_the_brute_force_rule(data):
+    # any A, B of Z/nZ, not only subgroup pairs; past n = 64 the mask
+    # spans more than one machine word
+    n = data.draw(st.integers(min_value=1, max_value=72))
+    subset = st.lists(st.integers(min_value=0, max_value=n - 1), unique=True)
+    a = tuple(sorted(data.draw(subset)))
+    b = tuple(sorted(data.draw(subset)))
+    expected = [t for t in b if any((y + t) % n not in a for y in a)]
+    assert certify._neighbourhood(n, a, b) == expected
 
 
 class TestClassify:

@@ -12,7 +12,7 @@ from matchlab.certify import classify, failure_certificate
 from matchlab.cli import main
 from matchlab.errors import VerificationFailure
 from matchlab.genfun import C1, ZERO, GenPoly, transfer_genfun
-from matchlab.groups import GroupCtx, integers
+from matchlab.groups import integers
 
 
 def run(argv, capsys):
@@ -55,15 +55,16 @@ def _augmenting_paths_find_a_matching(monkeypatch):
     monkeypatch.setattr(certify, "matching_exists", lambda pair: True)
 
 
-def _every_sum_avoids_a(monkeypatch):
-    # 1 lies outside <3> in Z/9Z, so N(A) = B; augmenting paths add one sum
-    # at a time, so they keep their right answer
-    monkeypatch.setattr(GroupCtx, "translate", lambda self, t, xs: [1 for _ in xs])
+def _every_translate_leaves_a(monkeypatch):
+    # every rotation of A's mask lands outside A, so N(A) = B; augmenting
+    # paths rotate nothing, so they keep their right answer
+    monkeypatch.setattr(certify, "_rotate", lambda mask, k, n: ~mask & ((1 << n) - 1))
 
 
-def _translate_skips_the_reduction(monkeypatch):
-    # in Z/9Z, 3 + 6 = 9 is not reduced to 0 and so leaves <3>: N(A) = B
-    monkeypatch.setattr(GroupCtx, "translate", lambda self, t, xs: [t + x for x in xs])
+def _rotation_keeps_high_bits(monkeypatch):
+    # in Z/9Z, 3 + 6 = 9 lands on bit 9, not on bit 0, and so leaves <3>:
+    # N(A) = B
+    monkeypatch.setattr(certify, "_rotate", lambda mask, k, n: (mask << k) | (mask >> (n - k)))
 
 
 FAULTS = [
@@ -71,11 +72,11 @@ FAULTS = [
     ("matches_brute_genfun", 13, _break_brute),
     ("all_coefficients_ge_2", 13, _every_route_has_a_coefficient_of_1),
     ("no_matching_augmenting_paths", 9, _augmenting_paths_find_a_matching),
-    ("hall_violation", 9, _every_sum_avoids_a),
-    ("hall_violation", 9, _translate_skips_the_reduction),
+    ("hall_violation", 9, _every_translate_leaves_a),
+    ("hall_violation", 9, _rotation_keeps_high_bits),
 ]
 # the first fault on a key is named by the key alone
-FAULT_IDS = ["hall_violation-unreduced_translate" if fault is _translate_skips_the_reduction
+FAULT_IDS = ["hall_violation-unreduced_translate" if fault is _rotation_keeps_high_bits
              else key for key, _, fault in FAULTS]
 
 

@@ -40,6 +40,8 @@ CERTIFY_RANGE = [["certify", str(n)] for n in range(4, 168)]
 
 COMMANDS = [
     *CERTIFY_RANGE,
+    ["certify", "2000"],
+    ["certify", "6000"],
     *(argv for n, m in GENFUN_PAIRS for argv in _both_formats(["genfun", str(n), str(m), "--check"])),
     *(["--format", fmt, "report", "1..8"] for fmt in ("text", "json", "csv")),
     *(argv for g in ("1", "2", "5", "7", "12", "25", "Z") for argv in _both_formats(["classify", g])),

@@ -36,18 +36,6 @@ def test_cyclic_group_laws(n, x, y, z):
     assert g.add(x, -x % n) == 0
 
 
-@given(
-    st.one_of(st.none(), st.integers(min_value=1, max_value=20)),
-    st.integers(min_value=-100, max_value=100),
-    st.lists(st.integers(min_value=-100, max_value=100), max_size=12),
-)
-def test_translate_is_a_row_of_adds(n, t, xs):
-    g = integers() if n is None else cyclic(n)
-    if n is not None:
-        t, xs = t % n, [x % n for x in xs]
-    assert g.translate(t, xs) == [g.add(t, x) for x in xs]
-
-
 @pytest.mark.parametrize(
     "n,a,expected",
     [
