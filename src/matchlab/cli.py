@@ -12,6 +12,9 @@ bound a user sets is verify-amp's --bound on the group order; the
 enumeration bound, the enumerate verb's listing bound, the exhaustive bound
 of classify and report, and the integer sample's seed and count are module
 constants, and the symmetry reduction is `verify_group_amp`'s default.
+JSON output is byte for byte `json.dumps(payload, indent=2,
+sort_keys=True)`, written by `_json` without `json`'s indented encoder,
+which runs in pure Python before 3.13.
 
 Exit codes: 0 success; 1 verification failure: a failure raised on the way
 prints `verification failure: ` and its evidence on stderr (a genfun --check
@@ -47,6 +50,7 @@ import io
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 
 from .certify import classify, failure_certificate
 from .errors import (
@@ -283,8 +287,33 @@ def _render(fmt: str, payload: dict, text: str | None) -> str:
                              for key, value in row.items()})
         return buf.getvalue().rstrip("\n")
     if fmt == "json" or text is None:
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return _json(payload)
     return text
+
+
+def _json(value, pad: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, with
+    each newline written as `pad`.  Writes str-keyed dicts, int lists (one
+    join) and scalars itself, and hands everything else (floats, empty
+    containers, other keys, subclasses) to `json.dumps`, whose output holds
+    a raw newline only between lines."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    inner = pad + "  "
+    sep = "," + inner
+    if kind is dict and value and all(type(key) is str for key in value):
+        return "{" + inner + sep.join(
+            _quote(key) + ": " + _json(value[key], inner) for key in sorted(value)) + pad + "}"
+    if (kind is list or kind is tuple) and value:
+        if set(map(type, value)) == {int}:
+            return "[" + inner + sep.join(map(int.__repr__, value)) + pad + "]"
+        return "[" + inner + sep.join(_json(item, inner) for item in value) + pad + "]"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
 
 
 class _CommandLineError(Exception):

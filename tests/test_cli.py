@@ -4,6 +4,7 @@ import re
 import shlex
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from matchlab import cli, genfun
 from matchlab.cli import main
@@ -373,6 +374,51 @@ class TestOneProcess:
         assert (code, out) == (0, "2*c0*c1*c3^2\n")
 
         assert cli.build_parser() is cli.build_parser()
+
+
+_TEXT = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600') | st.characters())
+_SCALARS = (st.none() | st.booleans() | st.integers(min_value=-2**70, max_value=2**70)
+            | st.floats() | st.sampled_from([float("nan"), float("inf"), -0.0]) | _TEXT)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.lists(st.integers() | st.just(True))
+                      | st.dictionaries(_TEXT, children) | st.dictionaries(st.integers(), children)),
+    max_leaves=25,
+)
+
+
+class TestJsonRendering:
+    """JSON output is byte for byte `json.dumps(payload, indent=2,
+    sort_keys=True)`, written without `json`'s pure-Python encoder."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_JSON_VALUES)
+    @example([1, True])
+    @example({"a": [], "b": {}, "c": (), "d": [2**64, -1, 0]})
+    @example({1: [1, 2], 2: {"x": None}})
+    def test_writer_is_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "120"],
+            ["certify", "13"],
+            ["--format", "json", "genfun", "100", "2", "--check"],
+            ["--format", "json", "enumerate", "7", "--a", "0,1,3", "--b", "1,2,4"],
+        ],
+        ids=["certify-composite", "certify-coprime6", "genfun-check", "enumerate"],
+    )
+    def test_verbs_render_without_the_stdlib_encoder(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("json's indented encoder ran")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        code, out, _ = run(argv, capsys)
+        monkeypatch.undo()
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def _readme_cli_examples() -> list[str]:
