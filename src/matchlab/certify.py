@@ -141,6 +141,13 @@ def _neighbourhood(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return [t for t in b if _rotate(mask, t, n) & ~mask]
 
 
+def _least_factor(n: int) -> int | None:
+    """The least prime factor of n when n is composite, else None."""
+    if n < 4:
+        return None
+    return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), None)
+
+
 def nonprime_counterexample(n: int) -> Certificate:
     """Certificate that for composite n, A = <a> and B = (<a> u {x}) \\ {0}
     admit no matching at all (a = smallest prime divisor of n, x = smallest
@@ -148,7 +155,7 @@ def nonprime_counterexample(n: int) -> Certificate:
     in B, which is smaller than A."""
     if n <= 1:
         raise ValueError(f"need composite n > 1, got {n}")
-    a = next((d for d in range(2, n) if n % d == 0), None)
+    a = _least_factor(n)
     if a is None:
         raise ValueError(f"n = {n} is prime; no subgroup counterexample exists")
     g = cyclic(n)
@@ -178,7 +185,7 @@ def failure_certificate(n: int) -> Certificate:
     """Failure certificate for Z/nZ: the subgroup counterexample for
     composite n, the standard-pair certificate otherwise.  Raises
     ValueError when neither applies (n <= 5 and not composite)."""
-    if any(n % d == 0 for d in range(2, n)):
+    if _least_factor(n):
         return nonprime_counterexample(n)
     return certify_coprime6(n)
 

@@ -183,7 +183,13 @@ def cmd_enumerate(args) -> tuple[dict, str | None, bool]:
 
 
 def cmd_genfun(args) -> tuple[dict, str | None, bool]:
-    poly = genfun_by_method(args.method, args.n, args.m)
+    values = genfun_routes(args.n, args.m) if args.check else {}
+    if args.method in values:
+        poly = values[args.method]
+    else:
+        # without --check; with it, this raises the error that kept the
+        # method out of the routes
+        poly = genfun_by_method(args.method, args.n, args.m)
     text = poly.to_text()
     payload = {
         "n": args.n,
@@ -193,7 +199,6 @@ def cmd_genfun(args) -> tuple[dict, str | None, bool]:
         "text": text,
     }
     if args.check:
-        values = genfun_routes(args.n, args.m, {args.method: poly})
         if len(values) < 2:
             raise ValueError(
                 f"--check needs two methods, but only {'+'.join(values)} ran"

@@ -290,17 +290,15 @@ def genfun_by_method(method: str, n: int, m: int) -> GenPoly:
     raise ValueError(f"unknown method {method!r}")
 
 
-def genfun_routes(n: int, m: int, known: dict[str, GenPoly] | None = None) -> dict[str, GenPoly]:
+def genfun_routes(n: int, m: int) -> dict[str, GenPoly]:
     """The generating function of the standard pair (n, m) by every method
     that applies, keyed by method in the order transfer, brute, closed.  A
-    method in ``known`` is taken from it, not recomputed; a method that
-    raises ValueError (no closed form, n too small) or BoundExceededError
-    (|A| past the enumeration bound) is left out."""
-    known = known or {}
+    method that raises ValueError (no closed form, n too small) or
+    BoundExceededError (|A| past the enumeration bound) is left out."""
     routes: dict[str, GenPoly] = {}
     for method in ("transfer", "brute", "closed"):
         try:
-            routes[method] = known[method] if method in known else genfun_by_method(method, n, m)
+            routes[method] = genfun_by_method(method, n, m)
         except (ValueError, BoundExceededError):
             continue
     return routes

@@ -3,8 +3,9 @@
 Elements are plain Python ints in canonical form: residues in [0, n) for the
 cyclic case, any int for Z.  All operations are pure.
 
-A new group kind (a product of cyclic groups, say) must teach `GroupCtx`
-its `is_canonical`, `add` and `describe`.
+A group is its modulus, None for Z.  A new kind of group (a product of
+cyclic groups, say) adds the field it needs and teaches `GroupCtx` its
+`is_cyclic`, `is_canonical`, `add` and `describe`.
 """
 
 from __future__ import annotations
@@ -15,27 +16,18 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class GroupCtx:
-    """A cyclic group of order ``modulus`` or the additive group of integers.
+    """A cyclic group of order ``modulus``, or the additive group of integers
+    when ``modulus`` is None."""
 
-    ``modulus`` is None exactly when ``kind == "integers"``.
-    """
-
-    kind: str  # "cyclic" | "integers"
     modulus: int | None = None
 
     def __post_init__(self):
-        if self.kind == "cyclic":
-            if self.modulus is None or self.modulus < 1:
-                raise ValueError(f"cyclic group needs modulus >= 1, got {self.modulus}")
-        elif self.kind == "integers":
-            if self.modulus is not None:
-                raise ValueError("integers mode takes no modulus")
-        else:
-            raise ValueError(f"unknown group kind {self.kind!r}")
+        if self.modulus is not None and self.modulus < 1:
+            raise ValueError(f"cyclic group needs modulus >= 1, got {self.modulus}")
 
     @property
     def is_cyclic(self) -> bool:
-        return self.kind == "cyclic"
+        return self.modulus is not None
 
     def is_canonical(self, x: int) -> bool:
         # one attribute read per call, as in add
@@ -53,11 +45,11 @@ class GroupCtx:
 
 
 def cyclic(n: int) -> GroupCtx:
-    return GroupCtx("cyclic", n)
+    return GroupCtx(n)
 
 
 def integers() -> GroupCtx:
-    return GroupCtx("integers")
+    return GroupCtx()
 
 
 def parse_group(text: str) -> GroupCtx:

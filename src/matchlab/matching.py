@@ -614,9 +614,10 @@ def iter_valid_pairs(n: int) -> Iterator[SubsetPair]:
                 yield SubsetPair(g, a_set, b_set)
 
 
-def _canonical_orbit_key(n: int, pair: SubsetPair, unit_group: tuple[int, ...]) -> tuple:
-    """Lex-least image of (A, B) under simultaneous scaling by the units
-    `unit_group` of Z/nZ.
+def _least_in_orbit(n: int, pair: SubsetPair, unit_group: tuple[int, ...]) -> bool:
+    """Whether (A, B) is the lex-least pair of its orbit under simultaneous
+    scaling by the units `unit_group` of Z/nZ: False at the first unit whose
+    image is smaller.
 
     Sound because u(a + f(a)) = ua + u f(a) and uA is the image of A, so the
     multiplicity-class structure is preserved.  Translating A and B together
@@ -625,15 +626,15 @@ def _canonical_orbit_key(n: int, pair: SubsetPair, unit_group: tuple[int, ...]) 
     (a + t) + f(a) lies in A + t exactly when a + f(a) lies in A, and it
     keeps the class sizes; it is not used yet.
     """
-    best = None
+    pair_key = (pair.a, pair.b)
     for u in unit_group:
         image = (
             tuple(sorted(u * a % n for a in pair.a)),
             tuple(sorted(u * b % n for b in pair.b)),
         )
-        if best is None or image < best:
-            best = image
-    return best
+        if image < pair_key:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -650,29 +651,25 @@ def verify_group_amp(
 ) -> GroupSearchResult:
     """Exhaustively test the acyclic matching property of Z/nZ.
 
-    Iterates every valid pair in deterministic order; with symmetry reduction
-    the verdict for each pair is memoized on its unit-scaling orbit key, so
-    the reported counterexample is identical either way.
+    Iterates every valid pair in deterministic order.  With symmetry
+    reduction only the lex-least pair of each unit-scaling orbit is tested,
+    and no verdict is kept: `iter_valid_pairs` yields pairs in (|A|, A, B)
+    lex order, the order in which `_least_in_orbit` compares images, and
+    u = 1 is a unit, so an orbit's least pair comes before the rest of it.
+    The verdict is the same on the whole orbit, so the sweep stops at the
+    same pair and reports the same counterexample and count either way.
     """
     if not g.is_cyclic:
         raise ValueError("exhaustive verification requires a cyclic group")
     n = g.modulus
     if n > exhaustive_bound:
         raise BoundExceededError(f"group order {n} exceeds exhaustive bound {exhaustive_bound}")
-    verdict_cache: dict[tuple, bool] = {}
     unit_group = units(g) if use_symmetry else ()
     checked = 0
     for pair in iter_valid_pairs(n):
         checked += 1
-        if use_symmetry:
-            key = _canonical_orbit_key(n, pair, unit_group)
-            ok = verdict_cache.get(key)
-            if ok is None:
-                ok = acyclicity_report(pair).has_acyclic
-                verdict_cache[key] = ok
-        else:
-            ok = acyclicity_report(pair).has_acyclic
-        if not ok:
+        if use_symmetry and not _least_in_orbit(n, pair, unit_group):
+            continue
+        if not acyclicity_report(pair).has_acyclic:
             return GroupSearchResult(False, pair, checked)
     return GroupSearchResult(True, None, checked)
-

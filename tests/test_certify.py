@@ -9,6 +9,7 @@ from matchlab.certify import (
     CERTIFICATE_SCHEMA_VERSION,
     certify_coprime6,
     classify,
+    failure_certificate,
     nonprime_counterexample,
     sample_integer_pairs,
     spot_check_integers,
@@ -130,6 +131,20 @@ class TestNonprimeCounterexample:
     def test_precondition(self, n):
         with pytest.raises(ValueError):
             nonprime_counterexample(n)
+
+    def test_generator_is_the_least_prime_factor(self):
+        for n in range(2, 200):
+            least = next(d for d in range(2, n + 1) if n % d == 0)
+            if least < n:
+                assert nonprime_counterexample(n).evidence["generator"] == least
+            else:
+                with pytest.raises(ValueError, match=rf"^n = {n} is prime; "):
+                    nonprime_counterexample(n)
+
+    @pytest.mark.parametrize("n", [-3, 0, 1, 2, 3, 5])
+    def test_no_failure_certificate_below_6(self, n):
+        with pytest.raises(ValueError, match=rf"^need n > 5 coprime to 6, got {n}$"):
+            failure_certificate(n)
 
     def test_each_route_pays_for_its_own_sums(self, monkeypatch):
         # n = 2000: A = <2>, B = (<2> u {1}) \ {0}, |A| = |B| = 1000.

@@ -294,6 +294,18 @@ class TestOptions:
             "matchlab enumerate: error: argument --a: expected comma-separated integers, got 'x'"
         )
 
+    def test_duplicate_elements_are_usage_error(self, capsys):
+        code, out, err = run(["enumerate", "7", "--a", "1,1,2", "--b", "1,2,3"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: duplicate elements in A or B\n"
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(["--out", str(path), "certify", "9"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert not path.parent.exists()
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

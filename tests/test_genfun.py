@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from matchlab import genfun
+from matchlab.cli import main
 from matchlab.genfun import (
     C0,
     C1,
@@ -64,6 +65,11 @@ class TestGenPoly:
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ValueError):
             GenPoly({(0, 0, 0): -1})
+
+    def test_negative_exponent_from_json_rejected(self):
+        # certificates are read back from outside the program
+        with pytest.raises(ValueError, match="negative exponent"):
+            GenPoly.from_json_terms([{"w": [-1, 0, 0], "c": 1}])
 
     @pytest.mark.parametrize(
         "poly,text",
@@ -253,7 +259,9 @@ class TestGenfunRoutes:
         assert list(routes) == methods
         assert all(p == routes["transfer"] for p in routes.values())
 
-    def test_known_methods_are_not_recomputed(self, monkeypatch):
+    def test_each_command_runs_the_transfer_once(self, monkeypatch):
+        # `genfun --check` prints a method taken from the routes, and a
+        # coprime-to-6 certificate reads every route from one call
         calls = []
         transfer = genfun.transfer_genfun
 
@@ -262,8 +270,7 @@ class TestGenfunRoutes:
             return transfer(n, m)
 
         monkeypatch.setattr(genfun, "transfer_genfun", counting)
-        marker = GenPoly.monomial(9, 9, 9)
-        routes = genfun_routes(10, 6, {"transfer": marker})
-        assert calls == []
-        assert routes["transfer"] is marker
-        assert routes["closed"] == routes["brute"] == transfer(10, 6)
+        assert main(["--format", "json", "genfun", "10", "6", "--check"]) == 0
+        assert calls == [(10, 6)]
+        assert main(["certify", "13"]) == 0
+        assert calls == [(10, 6), (13, 2)]

@@ -89,7 +89,7 @@ def test_group_ctx_validation():
     with pytest.raises(ValueError):
         from matchlab.groups import GroupCtx
 
-        GroupCtx("other")
+        GroupCtx(-1)
 
 
 @pytest.mark.parametrize("text,group", [("Z", integers()), ("z", integers()), ("7", cyclic(7)),

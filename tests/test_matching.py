@@ -706,11 +706,38 @@ class TestVerifyGroupAmp:
         assert r.counterexample.b == (1, 2, 4)
         assert r.counterexample.size == 3
 
-    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_symmetry_reduction_preserves_result(self, n):
-        assert verify_group_amp(cyclic(n), use_symmetry=True) == verify_group_amp(
-            cyclic(n), use_symmetry=False
+        assert verify_group_amp(cyclic(n), True, exhaustive_bound=10) == verify_group_amp(
+            cyclic(n), False, exhaustive_bound=10
         )
+
+    def test_reduced_sweep_reports_once_per_orbit(self, monkeypatch):
+        # Z/5Z holds, so the sweep runs through all 125 pairs and reports
+        # the least pair of each unit orbit, and no other pair
+        n = 5
+        orbits = {
+            frozenset(
+                (tuple(sorted(u * a % n for a in pair.a)), tuple(sorted(u * b % n for b in pair.b)))
+                for u in units(cyclic(n))
+            )
+            for pair in iter_valid_pairs(n)
+        }
+        reported = []
+        report = matchlab.matching.acyclicity_report
+
+        def counting(pair):
+            reported.append((pair.a, pair.b))
+            return report(pair)
+
+        monkeypatch.setattr(matchlab.matching, "acyclicity_report", counting)
+        result = verify_group_amp(cyclic(n), use_symmetry=True)
+        assert (result.holds, result.pairs_checked) == (True, 125)
+        assert sorted(reported) == sorted(min(orbit) for orbit in orbits)
+
+    def test_integers_rejected(self):
+        with pytest.raises(ValueError, match="requires a cyclic group"):
+            verify_group_amp(integers())
 
     def test_bound_enforced(self):
         with pytest.raises(BoundExceededError):
