@@ -1,32 +1,31 @@
-"""Golden outputs: the CLI's bytes for a fixed set of commands, pinned as one
-sha256 each in `golden_outputs.json`.
+"""Golden outputs: the CLI's bytes for a fixed set of commands, one file
+each in `golden/`.
 
-A hash covers the exit code, stdout, and stderr without its
-`# wall_time_s=` line.  Every command runs in this one process, on the one
-parser `main` keeps; the commands other than certify 4..167 are checked a
-second time in reverse order, so an output that depended on the calls
-before it would show.  A refactor that must keep every output
-byte-identical passes this test unchanged; a change that means to alter an
-output regenerates the fixture with
+A file holds the exit code, stdout, and stderr without its
+`# wall_time_s=` line, and its name is the command's slug.  Every command
+runs in this one process, on the one parser `main` keeps; the commands
+other than certify 4..167 are checked a second time in reverse order, so an
+output that depended on the calls before it would show.  A refactor that
+must keep every output byte-identical passes this test unchanged; a change
+that means to alter an output regenerates the files with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
-and says in its description which commands changed.
+and the diff shows which bytes moved.
 """
 
 import contextlib
-import functools
-import hashlib
+import difflib
 import io
-import json
 import pathlib
+import re
 import sys
 
 import pytest
 
 from matchlab.cli import main
 
-FIXTURE = pathlib.Path(__file__).with_name("golden_outputs.json")
+GOLDEN = pathlib.Path(__file__).with_name("golden")
 
 GENFUN_PAIRS = [(7, 2), (8, 2), (10, 6), (11, 6), (13, 2), (14, 6), (17, 2), (50, 2),
                 (100, 2), (100, 6), (150, 2), (161, 6)]
@@ -55,40 +54,56 @@ COMMANDS = [
 ]
 
 
-def digest(argv) -> str:
-    """sha256 of the exit code, stdout and stderr (less its wall-time line)
-    of `matchlab argv`, run in-process."""
+def slug(argv) -> str:
+    """The golden file name of `matchlab argv`: its words joined by '-',
+    every run of other characters folded to one '-'."""
+    return re.sub(r"[^A-Za-z0-9]+", "-", " ".join(argv)).strip("-") + ".txt"
+
+
+def blob(argv) -> bytes:
+    """The exit code, stdout and stderr (less its wall-time line) of
+    `matchlab argv`, run in-process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     err_kept = "".join(line for line in err.getvalue().splitlines(keepends=True)
                        if not line.startswith("# wall_time_s="))
-    blob = f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err_kept}"
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err_kept}".encode()
 
 
-@functools.cache
-def _pinned() -> dict[str, str]:
-    return json.loads(FIXTURE.read_text())
+def _mismatch(argv) -> str | None:
+    """None when `matchlab argv` prints its golden bytes, else the start of
+    a unified diff from them."""
+    got, want = blob(argv), (GOLDEN / slug(argv)).read_bytes()
+    if got == want:
+        return None
+    diff = difflib.unified_diff(want.decode().splitlines(), got.decode().splitlines(),
+                                "golden/" + slug(argv), "now", lineterm="")
+    return "\n".join(list(diff)[:40])
 
 
 def test_fixture_pins_exactly_the_commands():
-    assert sorted(_pinned()) == sorted(" ".join(argv) for argv in COMMANDS)
+    names = [slug(argv) for argv in COMMANDS]
+    assert len(set(names)) == len(COMMANDS)
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(names)
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_output_matches_golden(argv):
-    command = " ".join(argv)
-    assert digest(argv) == _pinned()[command], f"matchlab {command}: output changed"
+    diff = _mismatch(argv)
+    assert diff is None, f"matchlab {' '.join(argv)}: output changed\n{diff}"
 
 
 def test_outputs_do_not_depend_on_call_order():
     reordered = [argv for argv in reversed(COMMANDS) if argv not in CERTIFY_RANGE]
-    changed = [" ".join(argv) for argv in reordered if digest(argv) != _pinned()[" ".join(argv)]]
+    changed = [" ".join(argv) for argv in reordered if _mismatch(argv) is not None]
     assert changed == []
 
 
 if __name__ == "__main__":
-    pins = {" ".join(argv): digest(argv) for argv in COMMANDS}
-    FIXTURE.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
-    print(f"pinned {len(pins)} commands in {FIXTURE}", file=sys.stderr)
+    GOLDEN.mkdir(exist_ok=True)
+    for stale in set(GOLDEN.iterdir()) - {GOLDEN / slug(argv) for argv in COMMANDS}:
+        stale.unlink()
+    for argv in COMMANDS:
+        (GOLDEN / slug(argv)).write_bytes(blob(argv))
+    print(f"pinned {len(COMMANDS)} commands in {GOLDEN}", file=sys.stderr)
