@@ -12,14 +12,15 @@ Three claim families:
   while |A| = n - 3 is within ``matching.ENUMERATION_BOUND``, the enumerated
   classes too (``matches_brute_genfun``), whose total the certificate
   carries.
-* ``nonprime_failure``: for composite n, A = <a> and B = (<a> u {x}) \\ {0}
+* ``nonprime_failure``: for composite n with least prime factor q, the
+  subgroup H = <n/q> of order q gives A = H and B = (H \\ {0}) u {1}, which
   admit no matching at all: augmenting paths find none
   (``no_matching_augmenting_paths``), and the neighbourhood N(A) of A in B
-  is {x}, smaller than A (``hall_violation``).  The routes share nothing
+  is {1}, smaller than A (``hall_violation``).  The routes share nothing
   past the pair.  Augmenting paths stop at the first element of A they
   cannot place, here the second, so they build 2 rows of partners, 2|B|
-  ``GroupCtx.add`` calls.  Hall's route reads every sum y + b as one bit
-  of A's n-bit mask rotated by b, with no use of the subgroup structure.
+  ``GroupCtx.add`` calls.  Hall's route reads N(A) from the q|B| sums
+  y + b with a set of A, with no use of the subgroup structure.
 * ``classification``: the overall verdict for a group - the acyclic
   matching property holds exactly for Z, Z/2, Z/3, Z/5 (and vacuously for
   the trivial group).
@@ -126,19 +127,15 @@ def certify_coprime6(n: int) -> Certificate:
     return _checked("coprime6_failure", f"Z/{n}Z", evidence, checks)
 
 
-def _rotate(mask: int, k: int, n: int) -> int:
-    """The n-bit mask rotated by k: bit y moves to bit (y + k) mod n."""
-    return ((mask << k) | (mask >> (n - k))) & ((1 << n) - 1)
-
-
 def _neighbourhood(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """N(A): the t in B with (y + t) mod n outside A for some y in A, that
-    is, A's n-bit mask, built in O(n), rotated by t has a bit outside A."""
-    bits = bytearray(b"0" * n)
-    for y in a:
-        bits[n - 1 - y] = ord("1")
-    mask = int(bits, 2)
-    return [t for t in b if _rotate(mask, t, n) & ~mask]
+    """N(A): the t in B with (y + t) mod n outside A for some y in A."""
+    a_set, found = set(a), []
+    for t in b:
+        for y in a:
+            if (y + t) % n not in a_set:
+                found.append(t)
+                break
+    return found
 
 
 def _least_factor(n: int) -> int | None:
@@ -149,27 +146,27 @@ def _least_factor(n: int) -> int | None:
 
 
 def nonprime_counterexample(n: int) -> Certificate:
-    """Certificate that for composite n, A = <a> and B = (<a> u {x}) \\ {0}
-    admit no matching at all (a = smallest prime divisor of n, x = smallest
-    element outside <a>).  The evidence carries the neighbourhood N(A) of A
-    in B, which is smaller than A."""
+    """Certificate that for composite n, A = H and B = (H \\ {0}) u {1}
+    admit no matching at all, where H = <n/q> is the subgroup of order q,
+    the least prime factor of n.  Each b in H \\ {0} maps A onto itself,
+    so the neighbourhood N(A) of A in B, which the evidence carries, is
+    {1}, smaller than A."""
     if n <= 1:
         raise ValueError(f"need composite n > 1, got {n}")
-    a = _least_factor(n)
-    if a is None:
+    q = _least_factor(n)
+    if q is None:
         raise ValueError(f"n = {n} is prime; no subgroup counterexample exists")
     g = cyclic(n)
-    a_set = subgroup_generated(g, a)
-    sub_set = set(a_set)
-    x = next(e for e in range(n) if e not in sub_set)
-    b_set = tuple(sorted((sub_set | {x}) - {0}))
+    a_set = subgroup_generated(g, n // q)
+    # n/q >= q >= 2, so 1 lies outside H and below its other elements
+    b_set = (1, *a_set[1:])
     pair = SubsetPair(g, a_set, b_set)
     neighbourhood = _neighbourhood(n, a_set, b_set)
 
     evidence = {
         "n": n,
-        "generator": a,
-        "extra_element": x,
+        "generator": n // q,
+        "extra_element": 1,
         "pair": {"a": list(a_set), "b": list(b_set)},
         "neighbourhood": neighbourhood,
     }

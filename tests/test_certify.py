@@ -2,7 +2,6 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from matchlab import certify
 from matchlab.certify import (
@@ -100,10 +99,12 @@ class TestNonprimeCounterexample:
         assert cert.evidence["pair"] == {"a": [0, 2], "b": [1, 2]}
 
     def test_n6(self):
+        # q = 2: H = <3> = {0, 3}
         cert = nonprime_counterexample(6)
         assert cert.verified
-        assert cert.evidence["generator"] == 2
-        assert cert.evidence["pair"] == {"a": [0, 2, 4], "b": [1, 2, 4]}
+        assert cert.evidence["generator"] == 3
+        assert cert.evidence["pair"] == {"a": [0, 3], "b": [1, 3]}
+        assert cert.evidence["neighbourhood"] == [1]
 
     @pytest.mark.parametrize("n", [4, 6, 8, 9, 10, 12, 14, 15, 16])
     def test_pair_reverifies_unmatched(self, n):
@@ -115,12 +116,13 @@ class TestNonprimeCounterexample:
         assert not matching_exists(pair)
         assert cert.evidence["neighbourhood"] == [cert.evidence["extra_element"]]
 
-    @pytest.mark.parametrize("n", [42, 63, 166])
+    @pytest.mark.parametrize("n", [23 * 23, 29 * 31, 37 * 41 * 43])
     def test_hall_violator_past_the_enumeration_bound(self, n):
-        # |A| = n / 2 or n / 3 exceeds the enumeration bound of 20
+        # |A| = q, the least prime factor, exceeds the enumeration bound of 20
+        q = next(d for d in range(2, n) if n % d == 0)
         cert = nonprime_counterexample(n)
         assert cert.verified
-        assert len(cert.evidence["pair"]["a"]) > 20
+        assert len(cert.evidence["pair"]["a"]) == q > 20
         assert cert.evidence["neighbourhood"] == [1]
         assert cert.evidence["checks"] == {
             "no_matching_augmenting_paths": True,
@@ -132,11 +134,19 @@ class TestNonprimeCounterexample:
         with pytest.raises(ValueError):
             nonprime_counterexample(n)
 
+    @pytest.mark.parametrize("n", [-4, 0, 1])
+    def test_below_2_is_not_composite(self, n):
+        with pytest.raises(ValueError, match=rf"^need composite n > 1, got {n}$"):
+            nonprime_counterexample(n)
+
     def test_generator_is_the_least_prime_factor(self):
+        # A is the subgroup <n/q> of order q, the least prime factor
         for n in range(2, 200):
             least = next(d for d in range(2, n + 1) if n % d == 0)
             if least < n:
-                assert nonprime_counterexample(n).evidence["generator"] == least
+                evidence = nonprime_counterexample(n).evidence
+                assert len(evidence["pair"]["a"]) == least
+                assert evidence["generator"] == n // least
             else:
                 with pytest.raises(ValueError, match=rf"^n = {n} is prime; "):
                     nonprime_counterexample(n)
@@ -147,23 +157,30 @@ class TestNonprimeCounterexample:
             failure_certificate(n)
 
     def test_each_route_pays_for_its_own_sums(self, monkeypatch):
-        # n = 2000: A = <2>, B = (<2> u {1}) \ {0}, |A| = |B| = 1000.
+        # n = 101^2: A = <101>, B = (A \ {0}) u {1}, |A| = |B| = q = 101.
         # Augmenting paths add one sum at a time and stop at the second
-        # element of A; Hall's route adds nothing and rotates A's mask once
-        # per b.  Neither route calls into the other.
-        calls = {"add": 0, "rotate": 0, "matching_exists": 0}
+        # element of A; Hall's route makes at most q sums per b, with plain
+        # ints.  Neither route calls into the other.
+        calls = {"add": 0, "sum": 0, "matching_exists": 0}
         inside_matching_exists = []
-        add, rotate, exists = GroupCtx.add, certify._rotate, certify.matching_exists
+        add, neighbourhood, exists = (GroupCtx.add, certify._neighbourhood,
+                                      certify.matching_exists)
+
+        class Counted(int):
+            def __add__(self, other):
+                assert not inside_matching_exists
+                calls["sum"] += 1
+                return int(self) + other
+
+            __radd__ = __add__
 
         def counted_add(self, x, y):
             assert inside_matching_exists
             calls["add"] += 1
             return add(self, x, y)
 
-        def counted_rotate(mask, k, n):
-            assert not inside_matching_exists
-            calls["rotate"] += 1
-            return rotate(mask, k, n)
+        def counted_neighbourhood(n, a, b):
+            return neighbourhood(n, tuple(map(Counted, a)), b)
 
         def counted_exists(pair):
             calls["matching_exists"] += 1
@@ -174,27 +191,18 @@ class TestNonprimeCounterexample:
                 inside_matching_exists.pop()
 
         monkeypatch.setattr(GroupCtx, "add", counted_add)
-        monkeypatch.setattr(certify, "_rotate", counted_rotate)
+        monkeypatch.setattr(certify, "_neighbourhood", counted_neighbourhood)
         monkeypatch.setattr(certify, "matching_exists", counted_exists)
-        cert = nonprime_counterexample(2000)
+        cert = nonprime_counterexample(101 * 101)
         assert cert.verified
+        q = len(cert.evidence["pair"]["a"])
         size_b = len(cert.evidence["pair"]["b"])
-        assert size_b == 1000
+        assert q == size_b == 101
         assert cert.evidence["neighbourhood"] == [1]
-        assert calls == {"add": 2 * size_b, "rotate": size_b, "matching_exists": 1}
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_neighbourhood_is_the_brute_force_rule(data):
-    # any A, B of Z/nZ, not only subgroup pairs; past n = 64 the mask
-    # spans more than one machine word
-    n = data.draw(st.integers(min_value=1, max_value=72))
-    subset = st.lists(st.integers(min_value=0, max_value=n - 1), unique=True)
-    a = tuple(sorted(data.draw(subset)))
-    b = tuple(sorted(data.draw(subset)))
-    expected = [t for t in b if any((y + t) % n not in a for y in a)]
-    assert certify._neighbourhood(n, a, b) == expected
+        assert calls["add"] == 2 * size_b
+        assert calls["matching_exists"] == 1
+        # each b of A \ {0} pays all q sums, b = 1 stops at its first
+        assert (q - 1) * q < calls["sum"] <= q * size_b
 
 
 class TestClassify:

@@ -56,15 +56,15 @@ def _augmenting_paths_find_a_matching(monkeypatch):
 
 
 def _every_translate_leaves_a(monkeypatch):
-    # every rotation of A's mask lands outside A, so N(A) = B; augmenting
-    # paths rotate nothing, so they keep their right answer
-    monkeypatch.setattr(certify, "_rotate", lambda mask, k, n: ~mask & ((1 << n) - 1))
+    # Hall's route reads N(A) = B; augmenting paths keep their right answer
+    monkeypatch.setattr(certify, "_neighbourhood", lambda n, a, b: list(b))
 
 
-def _rotation_keeps_high_bits(monkeypatch):
-    # in Z/9Z, 3 + 6 = 9 lands on bit 9, not on bit 0, and so leaves <3>:
-    # N(A) = B
-    monkeypatch.setattr(certify, "_rotate", lambda mask, k, n: (mask << k) | (mask >> (n - k)))
+def _sums_not_reduced(monkeypatch):
+    # no sum y + b reaches 2n, so reducing mod 2n leaves every sum as is: in
+    # Z/9Z, 3 + 6 = 9 leaves <3>, and N(A) = B
+    neighbourhood = certify._neighbourhood
+    monkeypatch.setattr(certify, "_neighbourhood", lambda n, a, b: neighbourhood(2 * n, a, b))
 
 
 FAULTS = [
@@ -73,10 +73,10 @@ FAULTS = [
     ("all_coefficients_ge_2", 13, _every_route_has_a_coefficient_of_1),
     ("no_matching_augmenting_paths", 9, _augmenting_paths_find_a_matching),
     ("hall_violation", 9, _every_translate_leaves_a),
-    ("hall_violation", 9, _rotation_keeps_high_bits),
+    ("hall_violation", 9, _sums_not_reduced),
 ]
 # the first fault on a key is named by the key alone
-FAULT_IDS = ["hall_violation-unreduced_translate" if fault is _rotation_keeps_high_bits
+FAULT_IDS = ["hall_violation-unreduced_translate" if fault is _sums_not_reduced
              else key for key, _, fault in FAULTS]
 
 
