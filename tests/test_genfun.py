@@ -224,6 +224,12 @@ class TestRecurrenceCheck:
         seq[4] = seq[4] + C0
         assert not recurrence_check(seq)
 
+    def test_first_step_is_checked(self):
+        # four terms have one step, i = 3, and only it reads seq[3]
+        seq = [transfer_genfun(n, 2) for n in range(6, 10)]
+        seq[3] = seq[3] + C0
+        assert not recurrence_check(seq)
+
     def test_needs_four_terms(self):
         with pytest.raises(ValueError):
             recurrence_check([C0, C1, C3])
